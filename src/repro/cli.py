@@ -473,10 +473,9 @@ def _cmd_bench_serve(args) -> int:
           f"(dedup ratio {sweep['dedup_ratio']})")
     tier = report.get("tier") or {}
     if tier.get("bytes_on_wire"):
-        print(f" tier: {tier['bytes_on_wire']:,}B {tier['blob_format']} on "
+        print(f" tier: {tier['bytes_on_wire']:,}B rpt1 on "
               f"the wire vs {tier['raw_equivalent_bytes']:,}B raw "
-              f"({tier['wire_reduction']}x); old peer pulled "
-              f"{tier['old_peer_bytes']:,}B {tier['old_peer_format']}")
+              f"({tier['wire_reduction']}x)")
     print(f" coalescing_ok={report['coalescing_ok']} "
           f"bodies_identical={report['bodies_identical']} "
           f"sweep_ok={report['sweep_ok']} "
@@ -493,61 +492,6 @@ def _cmd_bench_serve(args) -> int:
     if args.max_warm_p50_ms and report["warm_p50_ms"] > args.max_warm_p50_ms:
         print(f"warm p50 {report['warm_p50_ms']}ms above gate "
               f"{args.max_warm_p50_ms}ms", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
-def _cmd_bench_transport(args) -> int:
-    from repro.bench import BENCH_SCALES, write_report
-    from repro.bench_transport import run_transport_bench
-
-    if args.scale not in BENCH_SCALES:
-        print(f"unknown bench scale {args.scale!r}; "
-              f"choose from {sorted(BENCH_SCALES)}", file=sys.stderr)
-        return 2
-    print(f"=== bench-transport: framed RPT1 vs raw pickle "
-          f"(scale={args.scale}) ===")
-    report = run_transport_bench(args.scale, cache_root=args.cache_dir)
-    ckpt = report["checkpoint"]
-    for row in ckpt["stages"]:
-        print(f" checkpoint [{row['stage']:>9}]: raw {row['raw_bytes']:,}B "
-              f"{row['raw_store_ms']:.1f}+{row['raw_resume_ms']:.1f}ms -> "
-              f"delta {row['delta_bytes']:,}B "
-              f"{row['framed_store_ms']:.1f}+{row['framed_resume_ms']:.1f}ms "
-              f"({row['ref_frames']} ref frame(s))")
-    print(f" checkpoint totals: {ckpt['raw_bytes']:,}B raw -> "
-          f"{ckpt['delta_bytes']:,}B delta "
-          f"({ckpt['size_reduction']}x smaller, "
-          f"{ckpt['throughput_ratio']}x faster store+resume)")
-    chain = report["chain"]
-    print(f" chain [{chain['experiment']}]: cold {chain['cold_seconds']}s, "
-          f"warm {chain['warm_seconds']}s "
-          f"(identical={chain['warm_identical']}, "
-          f"all_hits={chain['warm_all_hits']}); legacy-raw replay "
-          f"{chain['legacy_warm_seconds']}s "
-          f"(identical={chain['legacy_identical']}, "
-          f"migrated={chain['entries_migrated_to_raw']})")
-    tier = report["tier"]
-    print(f" tier: {tier['wire_bytes_framed']:,}B on the wire vs "
-          f"{tier['wire_bytes_raw_equivalent']:,}B raw "
-          f"({tier['wire_reduction']}x); old peer got "
-          f"{tier['old_peer_transcoded_bytes']:,}B "
-          f"{tier['old_peer_format']} transcode")
-    out = write_report(report, args.out)
-    print(f"[saved {out} in {report['wall_seconds']}s]")
-    ok = report["replay_identical"]
-    if not ok:
-        print("staged replay not byte-identical across cache formats",
-              file=sys.stderr)
-    if (args.min_size_reduction
-            and report["size_reduction"] < args.min_size_reduction):
-        print(f"size reduction {report['size_reduction']}x below required "
-              f"{args.min_size_reduction}x", file=sys.stderr)
-        ok = False
-    if (args.min_throughput_ratio
-            and report["throughput_ratio"] < args.min_throughput_ratio):
-        print(f"throughput ratio {report['throughput_ratio']}x below "
-              f"required {args.min_throughput_ratio}x", file=sys.stderr)
         ok = False
     return 0 if ok else 1
 
@@ -608,13 +552,9 @@ def _cmd_cache_stats(args) -> int:
     print(f"entries:     {stats['entries']}")
     print(f"total bytes: {stats['total_bytes']:,}")
     if stats["entries"]:
-        print(f"blob formats: {stats['framed_entries']} framed rpt1 "
-              f"({stats['framed_bytes']:,} bytes holding "
-              f"{stats['framed_logical_bytes']:,} logical), "
-              f"{stats['raw_entries']} raw pickle "
-              f"({stats['raw_bytes']:,} bytes)")
         print(f"compression: {stats['logical_bytes']:,} logical bytes "
-              f"in {stats['total_bytes']:,} stored "
+              f"in {stats['framed_bytes']:,} stored across "
+              f"{stats['framed_entries']} framed entries "
               f"({stats['compression_ratio']:.2f}x)")
     if stats["quarantined"]:
         print(f"quarantined: {stats['quarantined']} "
@@ -1051,38 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail if warm p50 latency exceeds MS milliseconds",
     )
     serve_bench_p.set_defaults(func=_cmd_bench_serve)
-
-    transport_bench_p = sub.add_parser(
-        "bench-transport",
-        help="A/B the framed RPT1 transport against raw pickle on the "
-             "checkpoint, chain-replay and cache-tier paths",
-    )
-    transport_bench_p.add_argument(
-        "--scale", default="default",
-        help="bench scale profile: test/quick/default/big (default: "
-             "default)",
-    )
-    transport_bench_p.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="scratch cache directory for the chain phase — cleared "
-             "before the cold pass (default: a private temp dir)",
-    )
-    transport_bench_p.add_argument(
-        "--out", default="BENCH_transport.json", metavar="FILE",
-        help="JSON report path (default: BENCH_transport.json)",
-    )
-    transport_bench_p.add_argument(
-        "--min-size-reduction", type=float, default=2.0, metavar="X",
-        help="fail unless delta checkpoints shrink raw pickle bytes by "
-             "at least X times (default: 2.0; 0 disables)",
-    )
-    transport_bench_p.add_argument(
-        "--min-throughput-ratio", type=float, default=1.5, metavar="X",
-        help="fail unless framed dumps+loads beats raw pickle by at "
-             "least X times (default: 1.5; 0 disables — use at the "
-             "tiny test scale where framing overhead dominates)",
-    )
-    transport_bench_p.set_defaults(func=_cmd_bench_transport)
 
     sweep_p = sub.add_parser(
         "sweep",

@@ -80,7 +80,11 @@ class VhcTlb:
         if self._tlb.lookup(anchor) and vpn < anchor + self._coverage.get(anchor, 0):
             self.stats.hits += 1
             return True
-        region = ("page", vpn & ~(self.REGULAR_SPAN - 1))
+        # Regular entries key as (0, base) so they never collide with
+        # int anchor keys.  Ints only: SetAssocTlb indexes sets by
+        # hash(key), and a str in the key would tie the set index to
+        # the per-process PYTHONHASHSEED.
+        region = (0, vpn & ~(self.REGULAR_SPAN - 1))
         if self._tlb.lookup(region):
             self.stats.hits += 1
             return True

@@ -18,10 +18,9 @@ phases:
    coalescing + cache rather than computed.  The phase reports the
    dedup ratio and the stream-completion p50/p95.
 4. *tier* — the largest entry the earlier phases cached is pulled
-   back through the ``/v1/cache`` federation endpoints as a new peer
-   (framed RPT1 verbatim) and as an Accept-less old peer (transparent
-   raw-pickle transcode), recording the bytes each format put on the
-   wire against the entry's raw-pickle equivalent.
+   back through the ``/v1/cache`` federation endpoint, recording the
+   framed RPT1 bytes it put on the wire against the entry's
+   raw-pickle equivalent.
 
 The report (``BENCH_serve.json``) carries the headline numbers CI
 gates on: zero failed requests, coalescing effectiveness,
@@ -150,12 +149,10 @@ def _sweep_spec_for(i: int, scale_name: str) -> dict:
 
 
 def _tier_phase(server, cache_root: Path) -> dict:
-    """Pull the largest cached entry over the ``/v1/cache`` tier both
-    ways; returns the bytes-on-wire comparison."""
-    import http.client
+    """Pull the largest cached entry over the ``/v1/cache`` tier;
+    returns its bytes on the wire against its raw-pickle size."""
     import pickle
 
-    from repro.sim import transport
     from repro.sim.cache import HttpCacheTier, RunCache
 
     entries = sorted(
@@ -173,27 +170,12 @@ def _tier_phase(server, cache_root: Path) -> dict:
     value = RunCache.decode_blob(blob)
     raw_equiv = len(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
-    # An Accept-less GET: what an old peer would pull for the same key.
-    conn = http.client.HTTPConnection(
-        "127.0.0.1", server.port, timeout=30
-    )
-    try:
-        conn.request("GET", f"/v1/cache/{key}")
-        resp = conn.getresponse()
-        old_body = resp.read()
-        old_format = resp.getheader("X-Repro-Blob-Format")
-    finally:
-        conn.close()
-
     return {
         "entries": len(entries),
         "key": key,
-        "blob_format": "rpt1" if transport.is_framed(blob) else "raw",
         "bytes_on_wire": len(blob),
         "raw_equivalent_bytes": raw_equiv,
         "wire_reduction": round(raw_equiv / max(len(blob), 1), 2),
-        "old_peer_bytes": len(old_body),
-        "old_peer_format": old_format,
         "client_bytes_received": tier.bytes_received,
     }
 

@@ -336,7 +336,7 @@ class ReproServer:
             await self._handle_run(writer, body, stream)
         elif path.startswith("/v1/cache/"):
             await self._handle_cache(
-                writer, method, path[len("/v1/cache/"):], headers, body
+                writer, method, path[len("/v1/cache/"):], body
             )
         elif path == "/v1/sweep":
             if method != "POST":
@@ -490,7 +490,7 @@ class ReproServer:
             )
 
     async def _handle_cache(self, writer, method: str, key: str,
-                            headers: dict, body: bytes) -> None:
+                            body: bytes) -> None:
         """The shared blob tier: GET/PUT cell-result blobs by digest.
 
         The server stores and serves bytes; deserialization (and
@@ -499,14 +499,9 @@ class ReproServer:
         present answers 200 without touching disk, so a fleet racing to
         publish the same result writes it once.
 
-        Blob format negotiation: a GET carrying ``X-Repro-Blob-Accept``
-        listing ``rpt1`` receives framed entries verbatim, labelled
-        ``X-Repro-Blob-Format: rpt1``.  A GET from an old peer (no
-        Accept header) gets framed entries transcoded to a raw pickle —
-        the one place the server touches blob contents, and only for
-        backward compatibility; a framed entry that will not decode
-        answers 404 rather than shipping bytes the old client cannot
-        read.  Raw legacy entries are served verbatim either way.
+        A PUT body must parse as an RPT1 blob (header and frame table;
+        nothing is unpickled) or it answers 400, so a malformed write
+        can never claim a key that every reader would then quarantine.
         """
         cache = self.scheduler.cache
         if cache is None:
@@ -529,31 +524,19 @@ class ReproServer:
                     writer, 404, {"error": f"no blob for {key[:12]}"}
                 )
                 return
-            fmt = "rpt1" if transport.is_framed(blob) else "raw"
-            accepts = headers.get("x-repro-blob-accept", "")
-            if fmt == "rpt1" and "rpt1" not in accepts:
-                blob = await loop.run_in_executor(
-                    None, _transcode_to_raw, blob
-                )
-                if blob is None:
-                    self.m_cache_tier.inc("get_transcode_failed")
-                    await self._respond_json(
-                        writer, 404,
-                        {"error": f"blob for {key[:12]} cannot be "
-                                  "transcoded for a raw-only peer"},
-                    )
-                    return
-                self.m_cache_tier.inc("get_transcoded")
-                fmt = "raw"
-            else:
-                self.m_cache_tier.inc("get_hit")
+            self.m_cache_tier.inc("get_hit")
             self.m_cache_tier_bytes.inc("get", len(blob))
-            await self._respond(
-                writer, 200, blob,
-                content_type="application/octet-stream",
-                extra=[("X-Repro-Blob-Format", fmt)],
-            )
+            await self._respond(writer, 200, blob,
+                                content_type="application/octet-stream")
         elif method == "PUT":
+            try:
+                transport.blob_info(body)
+            except transport.TransportError as exc:
+                self.m_cache_tier.inc("put_rejected")
+                await self._respond_json(
+                    writer, 400, {"error": f"body is not an RPT1 blob: {exc}"}
+                )
+                return
             outcome = await loop.run_in_executor(
                 None, lambda: cache.write_blob(key, body, overwrite=False)
             )
@@ -632,24 +615,6 @@ class ReproServer:
         self.m_responses.inc(str(status))
         writer.write(_head(status, headers) + body)
         await writer.drain()
-
-
-def _transcode_to_raw(blob: bytes) -> bytes | None:
-    """Re-pickle a framed blob for a peer that predates RPT1.
-
-    Runs on the executor thread pool (decode + re-pickle can be
-    milliseconds on VM checkpoints).  ``None`` means the framed entry
-    is corrupt or self-referential (a delta needing its base) — the old
-    peer gets a 404 and recomputes locally, which is the transparent-
-    fallback contract.
-    """
-    import pickle
-
-    try:
-        value = transport.loads(blob)
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    except Exception:
-        return None
 
 
 def _head(status: int, headers: list[tuple[str, str]]) -> bytes:

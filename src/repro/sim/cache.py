@@ -19,7 +19,8 @@ The cache key is ``sha256(code_salt + canonical-JSON(spec))``:
   re-run after an edit *outside* the package (docs, tests, notebooks)
   still hits.
 
-Entries are pickled result objects stored under
+Entries are result objects framed as RPT1 blobs
+(:mod:`repro.sim.transport`) stored under
 ``<root>/<key[:2]>/<key>.pkl`` with atomic rename, so concurrent
 writers (parallel suite runs) can share one cache directory safely.
 
@@ -150,23 +151,15 @@ class HttpCacheTier:
       the tier keeps the first writer's copy, so a digest is published
       once globally).
 
-    Blob format negotiation rides Content-Encoding-style headers: GETs
-    advertise ``X-Repro-Blob-Accept: rpt1, raw`` so the server can hand
-    back framed RPT1 blobs verbatim; a server answering an Accept-less
-    peer transcodes framed entries to raw pickle instead, so old
-    clients keep working against a new tier (and this client sniffs the
-    body's magic rather than trusting the response header, so it works
-    against old servers that send no header at all).  PUTs label the
-    body via ``X-Repro-Blob-Format``.  ``bytes_sent``/``bytes_received``
-    count body bytes on the wire for the bench-serve tier phase.
+    Blobs are framed RPT1 bytes in both directions; the server rejects
+    a PUT body that does not parse as one.  ``bytes_sent``/
+    ``bytes_received`` count body bytes on the wire for the bench-serve
+    tier phase.
 
     Every failure mode — connection refused, timeout, protocol garbage,
     unexpected status — increments ``errors`` and returns ``None``; the
     owning :class:`RunCache` then behaves as if no tier existed.
     """
-
-    ACCEPT_HEADER = "X-Repro-Blob-Accept"
-    FORMAT_HEADER = "X-Repro-Blob-Format"
 
     def __init__(self, base_url: str, timeout: float = 10.0):
         parts = urllib.parse.urlsplit(base_url)
@@ -185,14 +178,13 @@ class HttpCacheTier:
         self.bytes_sent = 0
         self.bytes_received = 0
 
-    def _request(self, method: str, key: str, body: bytes | None = None,
-                 headers: dict[str, str] | None = None):
+    def _request(self, method: str, key: str, body: bytes | None = None):
         """One request/response; returns ``(status, body)`` or ``None``."""
         conn = http.client.HTTPConnection(self.host, self.port,
                                           timeout=self.timeout)
         try:
             conn.request(method, f"{self.base_path}/v1/cache/{key}",
-                         body=body, headers=headers or {})
+                         body=body)
             resp = conn.getresponse()
             return resp.status, resp.read()
         except (OSError, http.client.HTTPException):
@@ -204,8 +196,7 @@ class HttpCacheTier:
     def get(self, key: str) -> bytes | None:
         """Fetch a blob from the tier; ``None`` on miss or failure."""
         self.gets += 1
-        out = self._request("GET", key,
-                            headers={self.ACCEPT_HEADER: "rpt1, raw"})
+        out = self._request("GET", key)
         if out is None:
             return None
         status, data = out
@@ -217,10 +208,8 @@ class HttpCacheTier:
     def put(self, key: str, blob: bytes) -> str | None:
         """Publish a blob; ``"stored"``, ``"exists"`` or ``None``."""
         self.puts += 1
-        fmt = "rpt1" if transport.is_framed(blob) else "raw"
         self.bytes_sent += len(blob)
-        out = self._request("PUT", key, body=blob,
-                            headers={self.FORMAT_HEADER: fmt})
+        out = self._request("PUT", key, body=blob)
         if out is None:
             return None
         status, _ = out
@@ -318,19 +307,15 @@ class RunCache:
             if record is not None:
                 if path.exists():
                     # Garble the real entry so the genuine corruption
-                    # handling below (quarantine + miss) is exercised.
-                    # Framed entries get a single byte flipped deep in
-                    # the blob — the transport's CRC/digest coverage
-                    # must catch it; raw pickles are overwritten with
-                    # a truncated opcode stream.
+                    # handling below (quarantine + miss) is exercised:
+                    # one byte flipped deep in the blob, which the
+                    # transport's CRC/digest coverage must catch.
                     try:
                         data = path.read_bytes()
-                        if transport.is_framed(data) and data:
+                        if data:
                             path.write_bytes(
                                 data[:-1] + bytes((data[-1] ^ 0xFF,))
                             )
-                        else:
-                            path.write_bytes(b"\x80\x04chaos-corrupted")
                     except OSError:
                         pass
                     self.injector.recover(record, "quarantined")
@@ -449,13 +434,9 @@ class RunCache:
 
     @staticmethod
     def decode_blob(blob: bytes) -> Any:
-        """Decode an entry, sniffing the format: framed RPT1 blobs go
-        through the transport (CRC + digest verified), anything else is
-        treated as a legacy raw pickle — entries written before the
-        framed format keep loading."""
-        if transport.is_framed(blob):
-            return transport.loads(blob)
-        return pickle.loads(blob)
+        """Decode a framed RPT1 entry (CRC + digest verified).  Anything
+        else raises :class:`~repro.sim.transport.TransportError`."""
+        return transport.loads(blob)
 
     def put(self, key: str, value: Any) -> None:
         """Store a result under ``key`` (atomic; last writer wins).
@@ -523,11 +504,11 @@ class RunCache:
         ``cache stats`` command.  Files that vanish mid-scan (a
         concurrent prune or clear) are skipped rather than raising.
 
-        Each live entry's first 48 bytes are peeked to classify it as
-        a framed RPT1 blob or a legacy raw pickle; framed entries
-        report their *logical* (pre-compression) size from the header,
-        so the blob-format breakdown carries an honest overall
-        compression ratio.
+        Each live entry's first 48 bytes are peeked for its *logical*
+        (pre-compression) size from the RPT1 header, so the framed
+        breakdown carries an honest compression ratio.  An entry whose
+        header does not parse counts toward ``entries`` and
+        ``total_bytes`` only; the next read quarantines it.
         """
         entries = 0
         total = 0
@@ -537,9 +518,7 @@ class RunCache:
         quarantined_bytes = 0
         framed_entries = 0
         framed_bytes = 0
-        framed_logical_bytes = 0
-        raw_entries = 0
-        raw_bytes = 0
+        logical_bytes = 0
         try:
             subdirs = list(os.scandir(self.root))
         except OSError:
@@ -579,14 +558,10 @@ class RunCache:
                             )
                     except OSError:
                         pass
-                    if logical is None:
-                        raw_entries += 1
-                        raw_bytes += st.st_size
-                    else:
+                    if logical is not None:
                         framed_entries += 1
                         framed_bytes += st.st_size
-                        framed_logical_bytes += logical
-        logical_total = framed_logical_bytes + raw_bytes
+                        logical_bytes += logical
         return {
             "root": str(self.root),
             "entries": entries,
@@ -603,12 +578,9 @@ class RunCache:
             "tier_errors": self.tier_errors,
             "framed_entries": framed_entries,
             "framed_bytes": framed_bytes,
-            "framed_logical_bytes": framed_logical_bytes,
-            "raw_entries": raw_entries,
-            "raw_bytes": raw_bytes,
-            "logical_bytes": logical_total,
+            "logical_bytes": logical_bytes,
             "compression_ratio": (
-                logical_total / total if total else 1.0
+                logical_bytes / framed_bytes if framed_bytes else 1.0
             ),
         }
 

@@ -5,7 +5,8 @@ The first class is the satellite regression for real on-disk damage
 same machinery through injected ``cache.read``/``cache.write`` faults
 and checks results stay correct; the third flips bytes *inside* framed
 RPT1 blobs — the transport's CRC/digest coverage must turn every flip
-into the same quarantine path raw-pickle garbage takes.
+into the same quarantine path garbage bytes take — and checks that an
+entry that is not framed at all (a bare pickle) is corrupt too.
 """
 
 import pickle
@@ -218,15 +219,25 @@ class TestFramedBlobCorruption:
             assert a["meta"] == b["meta"]
             assert np.array_equal(a["col"], b["col"])
 
-    def test_legacy_raw_pickle_entries_still_load(self, tmp_path):
+    def test_raw_pickle_entry_is_quarantined_and_recomputed(self, tmp_path):
+        """RPT1 is the only entry format: a bare pickle (even a valid
+        one) is a corrupt miss, and the executor recomputes the cell."""
         cache = make_cache(tmp_path)
-        value = {"legacy": list(range(32))}
-        cache.write_blob(
-            self.KEY,
-            pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL),
-        )
-        assert cache.get(self.KEY) == value
-        assert cache.corrupt_evictions == 0
-        stats = cache.stats()
-        assert stats["raw_entries"] == 1
-        assert stats["framed_entries"] == 0
+        c = cell(DOUBLE, x=21)
+        key = c.key(cache.salt)
+        # The right answer, just not framed.
+        raw = pickle.dumps(42, protocol=pickle.HIGHEST_PROTOCOL)
+        cache.write_blob(key, raw)
+        assert cache.get(key) is MISS
+        assert not cache.path_for(key).exists()
+        assert cache.quarantine_path_for(key).exists()
+        assert cache.corrupt_evictions == 1
+
+        cache.write_blob(key, raw)
+        executor = Executor(cache=cache)
+        assert executor.run([c]) == [42]
+        assert executor.stats.computed == 1
+        assert executor.stats.cache_hits == 0
+        assert cache.corrupt_evictions == 2
+        # The recomputed value replaced the bad entry with a framed one.
+        assert transport.is_framed(cache.path_for(key).read_bytes())

@@ -13,6 +13,8 @@ contract:
   depends on it transitively);
 - *resume* — executing a chain prefix, then the full chain against the
   same cache, recomputes only the unfinished suffix;
+- *size* — delta checkpoints along an aging chain are at least 2x
+  smaller than a plain pickle of the VM;
 - *picklability* — a shadow-paging VM survives the checkpoint
   round-trip with its pager hooks intact.
 
@@ -127,6 +129,33 @@ class TestCheckpoints:
             resumed_full = transport.loads(full_blob)
             assert (common.checkpoint_vm(resumed_delta)[1]
                     == common.checkpoint_vm(resumed_full)[1]), engine
+
+    def test_delta_checkpoints_are_at_least_2x_smaller_than_pickle(self):
+        """Along a boot -> svm -> pagerank aging chain, every delta
+        checkpoint is at least 2x smaller than pickling the whole VM."""
+        import pickle
+
+        from repro.sim.runner import RunOptions, run_virtualized
+        from repro.workloads import make_workload
+
+        vm = common.virtual_machine("ca", "ca", SMOKE)
+        blob, digest = common.checkpoint_vm(vm)
+        prev = [common.ChainStage(payload=None, state=blob,
+                                  state_digest=digest)]
+        for name in WORKLOADS:
+            r = run_virtualized(
+                vm, make_workload(name, SMOKE),
+                RunOptions(sample_every=None, exit_after=False),
+            )
+            vm.guest_exit_process(r.process)
+            vm.guest_kernel.drop_caches()
+            blob, digest = common.checkpoint_vm(vm, prev)
+            raw = len(pickle.dumps(vm, protocol=pickle.HIGHEST_PROTOCOL))
+            assert 2 * len(blob) <= raw, (name, len(blob), raw)
+            prev.append(common.ChainStage(
+                payload=None, state=blob, state_digest=digest,
+                base_digest=prev[-1].state_digest,
+            ))
 
     def test_stage_payloads_unwrap_in_order(self):
         stages = [

@@ -63,3 +63,28 @@ class TestVhcTlb:
                 tlb.access(vpn, 0, 100_000)
             walks[d] = tlb.stats.walks
         assert walks[64] > walks[4096] * 10
+
+    def test_replay_is_independent_of_the_string_hash_seed(self):
+        """Set indices come from ``hash(key)``; a str anywhere in a key
+        would make them (and every counter) vary with PYTHONHASHSEED."""
+        import os
+        import subprocess
+        import sys
+
+        script = (
+            "from repro.hw.vhc import VhcTlb\n"
+            "tlb = VhcTlb(entries=24, ways=6, distance=4096)\n"
+            "for i in range(20_000):\n"
+            "    vpn = (i * 7919) % 200_000\n"
+            "    start = vpn - vpn % 3000 + 17\n"
+            "    tlb.access(vpn, start, 3000)\n"
+            "print(tlb.stats)\n"
+        )
+        outs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            outs.add(subprocess.run(
+                [sys.executable, "-c", script], env=env, check=True,
+                capture_output=True, text=True,
+            ).stdout)
+        assert len(outs) == 1, outs

@@ -3,9 +3,9 @@
 One real :class:`ReproServer` (ephemeral port, scratch cache) plays
 the shared tier; :class:`HttpCacheTier` clients and tiered
 :class:`RunCache` instances talk to it over real sockets, so the full
-path — key validation, single-writer promotion, read-through local
-fill, executor-level federation — is exercised exactly as two worker
-boxes would drive it.
+path — key validation, RPT1 body validation, single-writer promotion,
+read-through local fill, executor-level federation — is exercised
+exactly as two worker boxes would drive it.
 """
 
 from __future__ import annotations
@@ -33,40 +33,66 @@ def tier_server(tmp_path_factory):
         yield server
 
 
-def _raw(server, method: str, path: str, body: bytes | None = None,
-         headers: dict | None = None):
+def _raw(server, method: str, path: str, body: bytes | None = None):
     conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
     try:
-        conn.request(method, path, body=body, headers=headers or {})
+        conn.request(method, path, body=body)
         resp = conn.getresponse()
-        return resp.status, resp.read(), dict(resp.getheaders())
+        return resp.status, resp.read()
     finally:
         conn.close()
 
 
 class TestEndpoint:
     def test_get_missing_key_is_404(self, tier_server):
-        status, _, _ = _raw(tier_server, "GET", f"/v1/cache/{'00' * 32}")
+        status, _ = _raw(tier_server, "GET", f"/v1/cache/{'00' * 32}")
         assert status == 404
 
     def test_malformed_keys_rejected(self, tier_server):
         for bad in ("short", "Z" * 64, "AB" * 32, "../../etc/passwd"):
-            status, _, _ = _raw(tier_server, "GET", f"/v1/cache/{bad}")
+            status, _ = _raw(tier_server, "GET", f"/v1/cache/{bad}")
             assert status == 400, bad
 
     def test_single_writer_promotion(self, tier_server):
-        first = pickle.dumps({"winner": 1})
-        second = pickle.dumps({"loser": 2})
-        status, _, _ = _raw(tier_server, "PUT", f"/v1/cache/{KEY}", first)
+        first = transport.dumps({"winner": 1})
+        second = transport.dumps({"loser": 2})
+        status, _ = _raw(tier_server, "PUT", f"/v1/cache/{KEY}", first)
         assert status == 201  # stored
-        status, _, _ = _raw(tier_server, "PUT", f"/v1/cache/{KEY}", second)
+        status, _ = _raw(tier_server, "PUT", f"/v1/cache/{KEY}", second)
         assert status == 200  # exists: first writer's copy kept
-        status, body, _ = _raw(tier_server, "GET", f"/v1/cache/{KEY}")
+        status, body = _raw(tier_server, "GET", f"/v1/cache/{KEY}")
         assert status == 200
         assert body == first
 
+    def test_malformed_put_is_rejected_and_leaves_the_key_free(
+        self, tier_server
+    ):
+        key = "9f" * 32
+        rejected = tier_server.m_cache_tier.get("put_rejected")
+        good = transport.dumps({"ok": True})
+        bad_bodies = (
+            pickle.dumps({"ok": True}),  # a bare pickle, not RPT1
+            b"",
+            good[:40],  # truncated header
+            good[:-1],  # frame runs past the end
+            good + b"\0",  # trailing bytes
+        )
+        for bad in bad_bodies:
+            status, body = _raw(tier_server, "PUT", f"/v1/cache/{key}", bad)
+            assert status == 400, bad[:16]
+            assert b"RPT1" in body
+        # No bad body claimed the key: a well-formed write still wins.
+        status, _ = _raw(tier_server, "GET", f"/v1/cache/{key}")
+        assert status == 404
+        status, _ = _raw(tier_server, "PUT", f"/v1/cache/{key}", good)
+        assert status == 201
+        status, body = _raw(tier_server, "GET", f"/v1/cache/{key}")
+        assert body == good
+        assert (tier_server.m_cache_tier.get("put_rejected")
+                == rejected + len(bad_bodies))
+
     def test_method_not_allowed(self, tier_server):
-        status, _, _ = _raw(tier_server, "POST", f"/v1/cache/{'cd' * 32}")
+        status, _ = _raw(tier_server, "POST", f"/v1/cache/{'cd' * 32}")
         assert status == 405
 
 
@@ -80,7 +106,7 @@ class TestHttpCacheTier:
     def test_get_put_roundtrip(self, tier_server):
         tier = HttpCacheTier(f"http://127.0.0.1:{tier_server.port}")
         key = "ee" * 32
-        blob = pickle.dumps([1, 2, 3])
+        blob = transport.dumps([1, 2, 3])
         assert tier.get(key) is None  # miss
         assert tier.put(key, blob) == "stored"
         assert tier.put(key, blob) == "exists"
@@ -130,12 +156,7 @@ class TestFederatedRunCache:
 
 
 class TestBlobFormatNegotiation:
-    """GET/PUT header negotiation for framed RPT1 blobs.
-
-    New peers advertise ``X-Repro-Blob-Accept: rpt1, raw`` and get the
-    stored framed bytes verbatim; an Accept-less old peer gets a
-    transparent transcode back to a raw pickle it can load directly.
-    """
+    """Framed RPT1 blobs travel through the tier byte for byte."""
 
     def _value(self):
         return {"col": np.repeat(np.arange(8, dtype=np.uint64), 2_048)}
@@ -146,45 +167,9 @@ class TestBlobFormatNegotiation:
         blob = transport.dumps(self._value())
         assert tier.put(key, blob) == "stored"
         assert tier.get(key) == blob
-        status, body, headers = _raw(
-            tier_server, "GET", f"/v1/cache/{key}",
-            headers={HttpCacheTier.ACCEPT_HEADER: "rpt1, raw"},
-        )
+        status, body = _raw(tier_server, "GET", f"/v1/cache/{key}")
         assert status == 200
         assert body == blob
-        assert headers.get(HttpCacheTier.FORMAT_HEADER) == "rpt1"
-
-    def test_old_peer_gets_a_transcoded_raw_pickle(self, tier_server):
-        tier = HttpCacheTier(f"http://127.0.0.1:{tier_server.port}")
-        key = "2b" * 32
-        value = self._value()
-        tier.put(key, transport.dumps(value))
-        # No Accept header: the server must not hand back RPT1 framing.
-        status, body, headers = _raw(tier_server, "GET",
-                                     f"/v1/cache/{key}")
-        assert status == 200
-        assert headers.get(HttpCacheTier.FORMAT_HEADER) == "raw"
-        assert not transport.is_framed(body)
-        out = pickle.loads(body)
-        assert np.array_equal(out["col"], value["col"])
-
-    def test_legacy_raw_put_serves_both_peer_generations(
-        self, tier_server
-    ):
-        key = "3c" * 32
-        raw = pickle.dumps({"legacy": True},
-                           protocol=pickle.HIGHEST_PROTOCOL)
-        status, _, _ = _raw(tier_server, "PUT", f"/v1/cache/{key}", raw)
-        assert status == 201
-        # Old peer: raw in, raw out.
-        status, body, headers = _raw(tier_server, "GET",
-                                     f"/v1/cache/{key}")
-        assert status == 200
-        assert body == raw
-        assert headers.get(HttpCacheTier.FORMAT_HEADER) == "raw"
-        # New peer: the tier client decodes raw entries transparently.
-        tier = HttpCacheTier(f"http://127.0.0.1:{tier_server.port}")
-        assert RunCache.decode_blob(tier.get(key)) == {"legacy": True}
 
     def test_tier_client_counts_bytes_on_wire(self, tier_server):
         tier = HttpCacheTier(f"http://127.0.0.1:{tier_server.port}")
@@ -217,7 +202,7 @@ class TestBlobFormatNegotiation:
 class TestNoCacheServer:
     def test_tier_endpoints_disabled_without_cache(self, tmp_path):
         with ServerThread(cache=None) as server:
-            status, _, _ = _raw(server, "GET", f"/v1/cache/{'11' * 32}")
+            status, _ = _raw(server, "GET", f"/v1/cache/{'11' * 32}")
             assert status == 404
             # The client degrades to local-only without raising.
             tier = HttpCacheTier(f"http://127.0.0.1:{server.port}")

@@ -341,26 +341,9 @@ class TestCacheLifecycle:
         # Entries are framed RPT1 blobs; the "v" * 1000 payload
         # compresses, so logical (pre-compression) bytes exceed stored.
         assert stats["framed_entries"] == 3
-        assert stats["raw_entries"] == 0
         assert stats["logical_bytes"] > 3 * 1000
         assert stats["compression_ratio"] > 1.0
         assert stats["oldest_mtime"] < stats["newest_mtime"]
-
-    def test_stats_format_breakdown_counts_legacy_raw_entries(self, tmp_path):
-        import pickle as _pickle
-
-        cache = self._fill(tmp_path, n=2)
-        legacy_key = "ee" * 32
-        cache.write_blob(
-            legacy_key, _pickle.dumps({"legacy": True},
-                                      protocol=_pickle.HIGHEST_PROTOCOL)
-        )
-        stats = cache.stats()
-        assert stats["entries"] == 3
-        assert stats["framed_entries"] == 2
-        assert stats["raw_entries"] == 1
-        # Raw entries count their stored size as logical size.
-        assert stats["logical_bytes"] >= stats["raw_bytes"]
 
     def test_empty_cache_stats(self, tmp_path):
         stats = RunCache(tmp_path / "nothing-here").stats()
@@ -371,7 +354,6 @@ class TestCacheLifecycle:
             "quarantined_bytes": 0, "tier_hits": 0, "tier_misses": 0,
             "tier_stores": 0, "tier_errors": 0,
             "framed_entries": 0, "framed_bytes": 0,
-            "framed_logical_bytes": 0, "raw_entries": 0, "raw_bytes": 0,
             "logical_bytes": 0, "compression_ratio": 1.0,
         }
 
