@@ -29,12 +29,12 @@ CI archives per commit.
 
 A third bench, ``python -m repro bench-suite`` (:func:`run_suite_bench`),
 measures the experiment orchestrator itself across four modes: the
-whole suite serially with monolithic chain cells, through the
-DAG-scheduled process fan-out (stage-checkpointed chains) against a
-cold two-tier cache, again warm, and once more with a fresh local L1
-against the now-warm shared HTTP tier (every cell must arrive by
-digest over the wire) — with the serialized results asserted
-byte-identical across all four modes — writing ``BENCH_suite.json``.
+whole suite serially in one process with no cache, through the
+DAG-scheduled process fan-out against a cold two-tier cache, again
+warm, and once more with a fresh local L1 against the now-warm shared
+HTTP tier (every cell must arrive by digest over the wire) — with the
+serialized results asserted byte-identical across all four modes —
+writing ``BENCH_suite.json``.
 
 A fourth, ``python -m repro bench-serve``
 (:func:`repro.serve.loadgen.run_serve_bench`), load-tests the serving
@@ -603,8 +603,7 @@ def _tier_stats(cache) -> dict | None:
 
 
 def _suite_pass(scale: ScaleProfile, names: list[str], jobs: int,
-                cache, staged: bool | None = None,
-                measure_serialize: bool = False
+                cache, measure_serialize: bool = False
                 ) -> tuple[str, float, dict, dict | None]:
     """One full-suite pass; returns (canonical JSON, seconds, stats,
     serialize overhead or None).
@@ -612,9 +611,7 @@ def _suite_pass(scale: ScaleProfile, names: list[str], jobs: int,
     Cells run through one flat :meth:`Executor.run` batch and assemble
     per plan — the exact :func:`repro.sim.jobs.run_plans` semantics,
     inlined so the flat cell/result pairing stays available for the
-    (untimed) serialize-overhead measurement afterwards.  ``staged``
-    picks checkpointed chain stages vs monolithic chain cells for the
-    experiments that support both.
+    (untimed) serialize-overhead measurement afterwards.
     """
     from repro.cli import suite_plans
     from repro.experiments.serialize import to_jsonable
@@ -623,7 +620,7 @@ def _suite_pass(scale: ScaleProfile, names: list[str], jobs: int,
     executor = Executor(jobs=jobs, cache=cache)
     try:
         started = time.perf_counter()
-        entries = suite_plans(scale, names, staged=staged)
+        entries = suite_plans(scale, names)
         plans = [plan for _, _, plan in entries]
         flat = [c for plan in plans for c in plan.cells]
         cell_results = executor.run(flat)
@@ -664,11 +661,11 @@ def run_suite_bench(
     result sets are asserted byte-identical before any timing is
     reported:
 
-    - ``serial`` — monolithic chain cells, one process, no cache: the
-      baseline the speedups are against.
-    - ``parallel_cold`` — stage-checkpointed chains through the
-      ``jobs``-wide DAG fan-out, empty local L1, write-through to a
-      live shared HTTP tier (a real in-process ``repro serve``).
+    - ``serial`` — one process, no cache (what ``repro suite --jobs 1
+      --no-cache`` runs): the baseline the speedups are against.
+    - ``parallel_cold`` — the ``jobs``-wide DAG fan-out, empty local
+      L1, write-through to a live shared HTTP tier (a real in-process
+      ``repro serve``).
     - ``parallel_warm`` — the same L1 again, now populated.
     - ``two_tier_cold`` — a **fresh, empty** local L1 against the warm
       shared tier: every cell must arrive by digest over the wire
@@ -701,7 +698,7 @@ def run_suite_bench(
         for sub in ("shared", "l1", "l1-fresh"):
             RunCache(root / sub).clear()
         serial_blob, serial_s, serial_stats, serialize = _suite_pass(
-            scale, names, 1, None, staged=False, measure_serialize=True
+            scale, names, 1, None, measure_serialize=True
         )
         with ServerThread(cache=RunCache(root / "shared")) as server:
             url = f"http://127.0.0.1:{server.port}"

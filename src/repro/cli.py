@@ -69,21 +69,11 @@ SCALES = {
 }
 
 
-#: Experiments whose aging-VM chains split into checkpointed stages
-#: (``plan(staged=...)``); the rest always build monolithic cells.
-STAGED_EXPERIMENTS = frozenset(
-    {"fig13", "fig14", "table7", "ext_shadow", "ext_vhc"}
-)
-
-
-def experiment_plans(name: str, scale,
-                     staged: bool | None = None) -> list[tuple[str, "object"]]:
+def experiment_plans(name: str, scale) -> list[tuple[str, "object"]]:
     """The ``(result_key, Plan)`` pairs one experiment contributes.
 
     Most experiments expose a single ``plan()``; fig 1 carries two
-    sub-experiments with their own plans.  ``staged`` overrides the
-    chain-splitting default for the experiments that support it
-    (``None`` keeps each module's default, which is staged).
+    sub-experiments with their own plans.
     """
     module = importlib.import_module(f"repro.experiments.{name}")
     if name == "fig1":
@@ -91,18 +81,14 @@ def experiment_plans(name: str, scale,
             ("fig1b", module.plan_fig1b(scale=scale)),
             ("fig1c", module.plan_fig1c(scale=scale)),
         ]
-    kwargs = {}
-    if staged is not None and name in STAGED_EXPERIMENTS:
-        kwargs["staged"] = staged
-    return [(name, module.plan(scale=scale, **kwargs))]
+    return [(name, module.plan(scale=scale))]
 
 
-def suite_plans(scale, names=None,
-                staged: bool | None = None) -> list[tuple[str, str, "object"]]:
+def suite_plans(scale, names=None) -> list[tuple[str, str, "object"]]:
     """``(experiment, result_key, Plan)`` for every requested experiment."""
     entries = []
     for name in (names if names is not None else EXPERIMENTS):
-        for key, plan in experiment_plans(name, scale, staged=staged):
+        for key, plan in experiment_plans(name, scale):
             entries.append((name, key, plan))
     return entries
 

@@ -7,7 +7,9 @@ are simple hashable values, so each cell can run in a worker process
 and memoize in the content-addressed run cache.  Sibling experiments
 that sweep the same grid share cells verbatim — fig 11 / table V /
 table VI reuse :func:`run_cell_native`, and fig 13 / fig 14 / table VII
-reuse :func:`run_cell_virt_sim_chain`.
+reuse the CA+CA :func:`run_cell_virt_sim_stage` chain.  Aging-VM chains
+run as checkpointed per-workload stages: :func:`stage_cells` declares
+them and :func:`finish_stage` checkpoints each one.
 """
 
 from __future__ import annotations
@@ -180,18 +182,19 @@ def run_cell_native_sim(
     return sims
 
 
-# -- stage-checkpointed chains ----------------------------------------------
+# -- aging-VM chains as checkpointed stages ----------------------------------
 #
-# An aging-VM chain can also run as a linear DAG of per-workload
-# *stages*: each stage carries its payload plus the serialized VM it
-# left behind, and the next stage resumes from that checkpoint.  The
-# stage cells are content-addressed like any other cell (the key covers
-# the whole chain prefix through the dependency specs), so an
-# interrupted suite resumes from the last completed stage and the
-# executor overlaps independent chains' stages.  VM state serializes
-# faithfully — machines are built from seeded configs and hold no open
-# resources — so the staged chain is byte-identical to the monolithic
-# one (asserted by the differential tests).
+# An aging-VM chain (one VM running the workloads back to back, the
+# paper's no-reboot aging) is a linear DAG of per-workload *stages*:
+# each stage carries its payload plus the serialized VM it left behind,
+# and the next stage resumes from that checkpoint.  The stage cells are
+# content-addressed like any other cell (the key covers the whole chain
+# prefix through the dependency specs), so an interrupted suite resumes
+# from the last completed stage and the executor overlaps independent
+# chains' stages.  VM state serializes faithfully — machines are built
+# from seeded configs and hold no open resources — so a chain resumed
+# from checkpoints matches one live VM stepping through the workloads
+# (asserted by the chain-stage tests).
 #
 # Checkpoints ride the RPT1 transport (:mod:`repro.sim.transport`):
 # the VM's numpy columns move out-of-band and RLE/zlib-compress per
@@ -252,29 +255,54 @@ def resume_vm(*prev: ChainStage) -> VirtualMachine:
     return transport.loads(prev[-1].state, store=store)
 
 
-def run_cell_virt_sim_stage(
-    *prev: ChainStage,
-    host_policy: str,
-    guest_policy: str,
+def finish_stage(
+    vm: VirtualMachine, prev: Sequence[ChainStage], payload: Any
+) -> ChainStage:
+    """Checkpoint ``vm`` (as a delta against ``prev`` when there is a
+    prefix) and wrap it with the stage's payload."""
+    blob, digest = checkpoint_vm(vm, prev)
+    return ChainStage(
+        payload=payload,
+        state=blob,
+        state_digest=digest,
+        base_digest=prev[-1].state_digest if prev else None,
+    )
+
+
+def stage_cells(fn: str, workloads: Sequence[str], **params) -> list[Cell]:
+    """One ``fn`` cell per workload, each depending on its chain's
+    *entire* prefix (not just the previous stage): delta checkpoints
+    hold ref frames that may resolve into any earlier stage's blob, so a
+    resumed stage needs all of them.  Experiments that build a chain
+    with identical parameters (fig 13 / fig 14 / Table VII's CA+CA
+    chain) share every stage cell through the run cache."""
+    out: list[Cell] = []
+    for name in workloads:
+        out.append(cell(fn, deps=tuple(out), workload=name, **params))
+    return out
+
+
+def stage_payloads(results: Sequence[ChainStage]) -> list[Any]:
+    """Unwrap a chain's stage results into its per-workload payloads."""
+    return [stage.payload for stage in results]
+
+
+def virt_sim_step(
+    vm: VirtualMachine,
     workload: str,
     scale: ScaleProfile,
     hw: HardwareConfig,
     trace_len: int,
     force_4k: tuple[bool, ...] = (False,),
-) -> ChainStage:
-    """One workload step of :func:`run_cell_virt_sim_chain`.
+) -> list:
+    """One workload on an aging VM; its final memory state is
+    TLB-simulated before the VM moves on.
 
-    The first stage (no ``prev``) builds the VM fresh; later stages
-    receive the whole chain prefix and resume the last checkpoint.  The
-    payload is the same per-workload sim list the monolithic chain
-    appends.
+    Returns one ``MmuSimResult`` per ``force_4k`` entry.
     """
     from repro.hw.mmu_sim import MmuSimulator
     from repro.hw.translation import TranslationView
 
-    vm = resume_vm(*prev) if prev else virtual_machine(
-        host_policy, guest_policy, scale
-    )
     wl = make_workload(workload, scale)
     trace = wl.trace(trace_len)
     r = run_virtualized(vm, wl, RunOptions(sample_every=None, exit_after=False))
@@ -286,94 +314,31 @@ def run_cell_virt_sim_stage(
         )
     vm.guest_exit_process(r.process)
     vm.guest_kernel.drop_caches()
-    blob, digest = checkpoint_vm(vm, prev)
-    return ChainStage(
-        payload=sims,
-        state=blob,
-        state_digest=digest,
-        base_digest=prev[-1].state_digest if prev else None,
-    )
+    return sims
 
 
-def virt_sim_stage_cells(
-    *,
+def run_cell_virt_sim_stage(
+    *prev: ChainStage,
     host_policy: str,
     guest_policy: str,
-    workloads: tuple[str, ...],
+    workload: str,
     scale: ScaleProfile,
     hw: HardwareConfig,
     trace_len: int,
     force_4k: tuple[bool, ...] = (False,),
-) -> list[Cell]:
-    """The staged form of a virt-sim chain: one cell per workload, each
-    depending on the previous stage.  Experiments that build this chain
-    with identical parameters (fig 13 / fig 14 / Table VII's CA+CA
-    chain) share every stage cell through the run cache.
+) -> ChainStage:
+    """One stage of a virt-sim chain: :func:`virt_sim_step` on the VM
+    the prefix left behind (built fresh for the first stage).
 
-    Each stage depends on its *entire* prefix (not just the previous
-    stage): delta checkpoints hold ref frames that may resolve into any
-    earlier stage's blob, so a resumed stage needs all of them.  The
-    content key already covered the full prefix recursively, so keys
-    and cache sharing are unaffected."""
-    out: list[Cell] = []
-    for name in workloads:
-        c = cell(
-            "repro.experiments.common:run_cell_virt_sim_stage",
-            deps=tuple(out),
-            host_policy=host_policy,
-            guest_policy=guest_policy,
-            workload=name,
-            scale=scale,
-            hw=hw,
-            trace_len=trace_len,
-            force_4k=force_4k,
-        )
-        out.append(c)
-    return out
-
-
-def stage_payloads(results: Sequence[ChainStage]) -> list[Any]:
-    """Unwrap a staged chain's results into the monolithic chain shape."""
-    return [stage.payload for stage in results]
-
-
-def run_cell_virt_sim_chain(
-    *,
-    host_policy: str,
-    guest_policy: str,
-    workloads: tuple[str, ...],
-    scale: ScaleProfile,
-    hw: HardwareConfig,
-    trace_len: int,
-    force_4k: tuple[bool, ...] = (False,),
-):
-    """One aging VM runs the workloads consecutively; each final memory
-    state is TLB-simulated before the next workload starts.
-
-    Returns, per workload, one ``MmuSimResult`` per ``force_4k`` entry.
     The CA+CA instance of this chain carries fig 13's scheme bars,
     fig 14's SpOT breakdown *and* Table VII's counters — one simulation
     serves all three experiments through the run cache.
     """
-    from repro.hw.mmu_sim import MmuSimulator
-    from repro.hw.translation import TranslationView
-
-    vm = virtual_machine(host_policy, guest_policy, scale)
-    out = []
-    for name in workloads:
-        wl = make_workload(name, scale)
-        trace = wl.trace(trace_len)
-        r = run_virtualized(vm, wl, RunOptions(sample_every=None, exit_after=False))
-        sims = []
-        for force in force_4k:
-            view = TranslationView.virtualized(vm, r.process, force_4k=force)
-            sims.append(
-                MmuSimulator(view, hw).run(trace, r.vma_start_vpns, workload=wl)
-            )
-        out.append(sims)
-        vm.guest_exit_process(r.process)
-        vm.guest_kernel.drop_caches()
-    return out
+    vm = resume_vm(*prev) if prev else virtual_machine(
+        host_policy, guest_policy, scale
+    )
+    sims = virt_sim_step(vm, workload, scale, hw, trace_len, force_4k)
+    return finish_stage(vm, prev, sims)
 
 
 __all__ = [
@@ -385,6 +350,7 @@ __all__ = [
     "ChainStage",
     "HardwareConfig",
     "checkpoint_vm",
+    "finish_stage",
     "format_table",
     "geomean",
     "native_machine",
@@ -393,11 +359,11 @@ __all__ = [
     "run_cell_native",
     "run_cell_native_sim",
     "run_cell_virt_chain",
-    "run_cell_virt_sim_chain",
     "run_cell_virt_sim_stage",
+    "stage_cells",
     "stage_payloads",
     "system_config",
-    "virt_sim_stage_cells",
+    "virt_sim_step",
     "virtual_machine",
     "workload",
 ]

@@ -27,7 +27,7 @@ from repro.hw.mmu_sim import MmuSimulator
 from repro.hw.translation import TranslationView
 from repro.hw.walk import WalkLatencyModel
 from repro.sim.config import HardwareConfig, ScaleProfile
-from repro.sim.jobs import Executor, Plan, cell
+from repro.sim.jobs import Executor, Plan
 from repro.sim.runner import RunOptions, run_virtualized
 from repro.virt.shadow import SHADOW_SYNC_CYCLES, attach_shadow_paging
 
@@ -117,23 +117,6 @@ def _shadow_step(vm, pager, name: str, scale: ScaleProfile,
     return row
 
 
-def run_cell_shadow_chain(
-    *,
-    workloads: tuple[str, ...],
-    scale: ScaleProfile,
-    hw: HardwareConfig,
-    trace_len: int,
-) -> list[ShadowRow]:
-    """One shadow-paging VM ages across the whole suite; one row per
-    workload."""
-    vm = common.virtual_machine("ca", "ca", scale)
-    pager = attach_shadow_paging(vm)
-    return [
-        _shadow_step(vm, pager, name, scale, hw, trace_len)
-        for name in workloads
-    ]
-
-
 def run_cell_shadow_stage(
     *prev: common.ChainStage,
     workload: str,
@@ -155,13 +138,7 @@ def run_cell_shadow_stage(
         vm = common.resume_vm(*prev)
         pager = vm.shadow_pager
     row = _shadow_step(vm, pager, workload, scale, hw, trace_len)
-    blob, digest = common.checkpoint_vm(vm, prev)
-    return common.ChainStage(
-        payload=row,
-        state=blob,
-        state_digest=digest,
-        base_digest=prev[-1].state_digest if prev else None,
-    )
+    return common.finish_stage(vm, prev, row)
 
 
 def plan(
@@ -169,44 +146,27 @@ def plan(
     workloads: tuple[str, ...] = common.SUITE,
     hw: HardwareConfig | None = None,
     trace_len: int = TRACE_LEN,
-    staged: bool = True,
 ) -> Plan:
     """The shadow chain: the pager's state (and the VM's fragmentation)
-    carries across workloads — per-workload checkpointed stages by
-    default, one monolithic cell with ``staged=False``."""
+    carries across workloads, one checkpointed stage per workload."""
     scale = scale or common.QUICK_SCALE
     hw = hw or HardwareConfig()
-    if staged:
-        cells_out = []
-        for name in workloads:
-            c = cell(
-                "repro.experiments.ext_shadow:run_cell_shadow_stage",
-                deps=tuple(cells_out),
-                workload=name,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-            cells_out.append(c)
-    else:
-        cells_out = [
-            cell(
-                "repro.experiments.ext_shadow:run_cell_shadow_chain",
-                workloads=tuple(workloads),
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-        ]
+    cells = common.stage_cells(
+        "repro.experiments.ext_shadow:run_cell_shadow_stage",
+        workloads,
+        scale=scale,
+        hw=hw,
+        trace_len=trace_len,
+    )
 
     def assemble(results) -> ExtShadowResult:
-        rows = common.stage_payloads(results) if staged else results[0]
+        rows = common.stage_payloads(results)
         out = ExtShadowResult()
         for row in rows:
             out.rows[row.workload] = row
         return out
 
-    return Plan(cells_out, assemble)
+    return Plan(cells, assemble)
 
 
 def run(

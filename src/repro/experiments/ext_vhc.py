@@ -27,7 +27,7 @@ from repro.hw.mmu_sim import MmuSimulator
 from repro.hw.translation import TranslationView
 from repro.hw.vhc import simulate_vhc
 from repro.sim.config import HardwareConfig, ScaleProfile
-from repro.sim.jobs import Executor, Plan, cell
+from repro.sim.jobs import Executor, Plan
 from repro.sim.runner import RunOptions, run_virtualized
 
 TRACE_LEN = 150_000
@@ -96,18 +96,6 @@ def _vhc_step(vm, name: str, scale: ScaleProfile, hw: HardwareConfig,
     return row
 
 
-def run_cell_vhc_chain(
-    *,
-    workloads: tuple[str, ...],
-    scale: ScaleProfile,
-    hw: HardwareConfig,
-    trace_len: int,
-) -> list[VhcRow]:
-    """One aging CA+CA VM; per workload, cost both TLB organisations."""
-    vm = common.virtual_machine("ca", "ca", scale)
-    return [_vhc_step(vm, name, scale, hw, trace_len) for name in workloads]
-
-
 def run_cell_vhc_stage(
     *prev: common.ChainStage,
     workload: str,
@@ -123,13 +111,7 @@ def run_cell_vhc_stage(
         common.virtual_machine("ca", "ca", scale)
     )
     row = _vhc_step(vm, workload, scale, hw, trace_len)
-    blob, digest = common.checkpoint_vm(vm, prev)
-    return common.ChainStage(
-        payload=row,
-        state=blob,
-        state_digest=digest,
-        base_digest=prev[-1].state_digest if prev else None,
-    )
+    return common.finish_stage(vm, prev, row)
 
 
 def plan(
@@ -137,44 +119,27 @@ def plan(
     workloads: tuple[str, ...] = common.SUITE,
     hw: HardwareConfig | None = None,
     trace_len: int = TRACE_LEN,
-    staged: bool = True,
 ) -> Plan:
-    """The vHC chain — the VM ages across the suite; per-workload
-    checkpointed stages by default, one monolithic cell with
-    ``staged=False``."""
+    """The vHC chain — the VM ages across the suite, one checkpointed
+    stage per workload."""
     scale = scale or common.QUICK_SCALE
     hw = hw or HardwareConfig()
-    if staged:
-        cells_out = []
-        for name in workloads:
-            c = cell(
-                "repro.experiments.ext_vhc:run_cell_vhc_stage",
-                deps=tuple(cells_out),
-                workload=name,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-            cells_out.append(c)
-    else:
-        cells_out = [
-            cell(
-                "repro.experiments.ext_vhc:run_cell_vhc_chain",
-                workloads=tuple(workloads),
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-        ]
+    cells = common.stage_cells(
+        "repro.experiments.ext_vhc:run_cell_vhc_stage",
+        workloads,
+        scale=scale,
+        hw=hw,
+        trace_len=trace_len,
+    )
 
     def assemble(results) -> ExtVhcResult:
-        rows = common.stage_payloads(results) if staged else results[0]
+        rows = common.stage_payloads(results)
         out = ExtVhcResult()
         for row in rows:
             out.rows[row.workload] = row
         return out
 
-    return Plan(cells_out, assemble)
+    return Plan(cells, assemble)
 
 
 def run(

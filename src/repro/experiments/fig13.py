@@ -85,18 +85,14 @@ def plan(
     workloads: tuple[str, ...] = common.SUITE,
     hw: HardwareConfig | None = None,
     trace_len: int = TRACE_LEN,
-    staged: bool = True,
 ) -> Plan:
     """Declare the figure's cells.
 
     Native states are independent (fresh THP machine per workload); the
     two virtualized states are *chains* — each VM ages across the whole
-    workload sequence, so per-VM ordering is part of the spec.  By
-    default each chain runs as per-workload checkpointed stages
-    (``staged=True``) the executor can pipeline and resume;
-    ``staged=False`` keeps the monolithic single-cell chains (the
-    differential baseline).  Either way the CA+CA chain cells are
-    shared verbatim with fig 14 and Table VII.
+    workload sequence as per-workload checkpointed stages the executor
+    can pipeline and resume.  The CA+CA chain's stage cells are shared
+    verbatim with fig 14 and Table VII.
     """
     scale = scale or common.DEFAULT_SCALE
     hw = hw or HardwareConfig()
@@ -113,63 +109,33 @@ def plan(
         )
         for name in workloads
     ]
-    if staged:
-        cells.extend(
-            common.virt_sim_stage_cells(
-                host_policy="thp",
-                guest_policy="thp",
-                workloads=workloads,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-                force_4k=(False, True),
-            )
-        )
-        cells.extend(
-            common.virt_sim_stage_cells(
-                host_policy="ca",
-                guest_policy="ca",
-                workloads=workloads,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-        )
-    else:
-        cells.append(
-            cell(
-                "repro.experiments.common:run_cell_virt_sim_chain",
-                host_policy="thp",
-                guest_policy="thp",
-                workloads=workloads,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-                force_4k=(False, True),
-            )
-        )
-        cells.append(
-            cell(
-                "repro.experiments.common:run_cell_virt_sim_chain",
-                host_policy="ca",
-                guest_policy="ca",
-                workloads=workloads,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-        )
+    cells += common.stage_cells(
+        "repro.experiments.common:run_cell_virt_sim_stage",
+        workloads,
+        host_policy="thp",
+        guest_policy="thp",
+        scale=scale,
+        hw=hw,
+        trace_len=trace_len,
+        force_4k=(False, True),
+    )
+    cells += common.stage_cells(
+        "repro.experiments.common:run_cell_virt_sim_stage",
+        workloads,
+        host_policy="ca",
+        guest_policy="ca",
+        scale=scale,
+        hw=hw,
+        trace_len=trace_len,
+    )
 
     def assemble(results) -> Fig13Result:
         costs = WalkLatencyModel().walk_costs()
         out = Fig13Result(costs=costs)
         n = len(workloads)
         native_sims = results[:n]
-        if staged:
-            thp_chain = common.stage_payloads(results[n:2 * n])
-            ca_chain = common.stage_payloads(results[2 * n:3 * n])
-        else:
-            thp_chain, ca_chain = results[-2], results[-1]
+        thp_chain = common.stage_payloads(results[n:2 * n])
+        ca_chain = common.stage_payloads(results[2 * n:3 * n])
         for i, name in enumerate(workloads):
             for bar, sim in zip(("THP", "4K"), native_sims[i]):
                 out.sims[(name, bar)] = sim

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.experiments import common
 from repro.sim.config import HardwareConfig, ScaleProfile
-from repro.sim.jobs import Executor, Plan, cell
+from repro.sim.jobs import Executor, Plan
 
 TRACE_LEN = 200_000
 
@@ -84,39 +84,25 @@ def plan(
     workloads: tuple[str, ...] = common.SUITE,
     hw: HardwareConfig | None = None,
     trace_len: int = TRACE_LEN,
-    staged: bool = True,
 ) -> Plan:
     """The CA+CA chain — identical to fig 13's scheme chain and
-    Table VII's counter source, so the cache computes it once.  Staged
-    (the default) it is one checkpointed cell per workload;
-    ``staged=False`` keeps the monolithic single cell."""
+    Table VII's counter source, so the cache computes it once: one
+    checkpointed stage cell per workload."""
     scale = scale or common.DEFAULT_SCALE
     hw = hw or HardwareConfig()
     workloads = tuple(workloads)
-    if staged:
-        cells = common.virt_sim_stage_cells(
-            host_policy="ca",
-            guest_policy="ca",
-            workloads=workloads,
-            scale=scale,
-            hw=hw,
-            trace_len=trace_len,
-        )
-    else:
-        cells = [
-            cell(
-                "repro.experiments.common:run_cell_virt_sim_chain",
-                host_policy="ca",
-                guest_policy="ca",
-                workloads=workloads,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-        ]
+    cells = common.stage_cells(
+        "repro.experiments.common:run_cell_virt_sim_stage",
+        workloads,
+        host_policy="ca",
+        guest_policy="ca",
+        scale=scale,
+        hw=hw,
+        trace_len=trace_len,
+    )
 
     def assemble(results) -> Fig14Result:
-        chain = common.stage_payloads(results) if staged else results[0]
+        chain = common.stage_payloads(results)
         out = Fig14Result()
         for name, (sim,) in zip(workloads, chain):
             out.breakdown[name] = sim.spot_breakdown()

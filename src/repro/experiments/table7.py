@@ -16,7 +16,7 @@ from repro.experiments import common
 from repro.hw.walk import WalkLatencyModel
 from repro.metrics.usl import UslEstimate, estimate_usl
 from repro.sim.config import HardwareConfig, ScaleProfile
-from repro.sim.jobs import Executor, Plan, cell
+from repro.sim.jobs import Executor, Plan
 
 TRACE_LEN = 200_000
 #: Fraction of instructions that are loads (typical integer mix).
@@ -79,38 +79,25 @@ def plan(
     workloads: tuple[str, ...] = common.SUITE,
     hw: HardwareConfig | None = None,
     trace_len: int = TRACE_LEN,
-    staged: bool = True,
 ) -> Plan:
-    """The CA+CA chain (shared with fig 13 / fig 14; staged per
-    workload by default); the USL equations apply to the simulated
+    """The CA+CA chain (shared with fig 13 / fig 14, one checkpointed
+    stage per workload); the USL equations apply to the simulated
     counters at assembly time."""
     scale = scale or common.DEFAULT_SCALE
     hw = hw or HardwareConfig()
     workloads = tuple(workloads)
-    if staged:
-        cells = common.virt_sim_stage_cells(
-            host_policy="ca",
-            guest_policy="ca",
-            workloads=workloads,
-            scale=scale,
-            hw=hw,
-            trace_len=trace_len,
-        )
-    else:
-        cells = [
-            cell(
-                "repro.experiments.common:run_cell_virt_sim_chain",
-                host_policy="ca",
-                guest_policy="ca",
-                workloads=workloads,
-                scale=scale,
-                hw=hw,
-                trace_len=trace_len,
-            )
-        ]
+    cells = common.stage_cells(
+        "repro.experiments.common:run_cell_virt_sim_stage",
+        workloads,
+        host_policy="ca",
+        guest_policy="ca",
+        scale=scale,
+        hw=hw,
+        trace_len=trace_len,
+    )
 
     def assemble(results) -> Table7Result:
-        chain = common.stage_payloads(results) if staged else results[0]
+        chain = common.stage_payloads(results)
         walk_cycles = WalkLatencyModel().walk_costs().nested_thp
         out = Table7Result()
         for name, (sim,) in zip(workloads, chain):

@@ -37,6 +37,7 @@ results are byte-identical to an undisturbed run.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import hashlib
 import heapq
@@ -108,10 +109,30 @@ class Cell:
         """Content address of this cell under a code salt."""
         return spec_digest(self.spec(), salt)
 
-    def label(self) -> str:  # pragma: no cover - debugging aid
-        args = ", ".join(f"{k}={v!r}" for k, v in self.kwargs
-                         if isinstance(v, (str, int, float, bool)))
-        return f"{self.fn.rpartition(':')[2]}({args})"
+    def label(self) -> str:
+        """Human-readable call form for logs, events and reports.
+
+        Every kwarg is shown (dataclass values with only their
+        non-default fields), and dependencies as a leading ``<n deps>``,
+        so cells that differ in any kwarg or chain position read
+        differently.
+        """
+        args = [f"<{len(self.deps)} deps>"] if self.deps else []
+        args += [f"{k}={_label_value(v)}" for k, v in self.kwargs]
+        return f"{self.fn.rpartition(':')[2]}({', '.join(args)})"
+
+
+def _label_value(value: Any) -> str:
+    """``repr`` of a cell kwarg; a dataclass shows only the fields that
+    differ from their declared defaults."""
+    if not dataclasses.is_dataclass(value) or isinstance(value, type):
+        return repr(value)
+    fields = ", ".join(
+        f"{f.name}={getattr(value, f.name)!r}"
+        for f in dataclasses.fields(value)
+        if getattr(value, f.name) != f.default
+    )
+    return f"{type(value).__name__}({fields})"
 
 
 def cell(fn: str, deps: Sequence[Cell] = (), **kwargs) -> Cell:

@@ -39,8 +39,8 @@ Blob layout (all little-endian)::
 The 32-byte digest is the sha256 of the *logical* state: for each
 frame, the terminal (ref-resolved) ``codec/param/raw_len/stored``
 tuple.  A delta blob and a full blob of the same state therefore carry
-the same digest, which is what lets staged-vs-monolithic byte-identity
-checks survive the delta optimisation.  Every byte of a blob is covered
+the same digest, which is what lets checkpoint-determinism checks
+survive the delta optimisation.  Every byte of a blob is covered
 by some check — magic, version, zero flags, structural frame bounds,
 logical-byte total, per-frame CRC over stored bytes, codec/param enum
 validation, and the digest — so any single corrupt byte surfaces as

@@ -1,13 +1,14 @@
-"""Stage-checkpointed chains must be indistinguishable from monolithic.
+"""Aging-VM chains run as checkpointed stages; they must not drift.
 
-Every aging-VM chain experiment now splits into per-workload stages
-whose VM state is framed (RPT1 delta checkpoints), digested and cached
-between cells (:mod:`repro.experiments.common`).  These tests pin the
-contract:
+Every aging-VM chain experiment runs as per-workload stages whose VM
+state is framed (RPT1 delta checkpoints), digested and cached between
+cells (:mod:`repro.experiments.common`).  These tests pin the contract:
 
-- *determinism* — the staged plan's assembled result serializes
-  byte-identically to the monolithic single-cell chain, for every
-  chain experiment;
+- *fidelity* — every chain experiment's stage payloads serialize
+  byte-identically to a monolithic run: one live VM that steps through
+  the same workloads and is never checkpointed;
+- *prefix deps* — every stage cell depends on its chain's whole prefix
+  (delta checkpoints may point into any earlier stage's blob);
 - *checkpoint stability* — re-running a stage reproduces the same
   state digest bit for bit (the cache key of every downstream stage
   depends on it transitively);
@@ -24,57 +25,113 @@ crossing a checkpoint boundary.
 
 from __future__ import annotations
 
+import importlib
 import json
 
 import pytest
 
-from repro.experiments import common
+from repro.experiments import common, ext_shadow, ext_vhc
 from repro.experiments.serialize import to_jsonable
 from repro.sim import transport
 from repro.sim.cache import RunCache
-from repro.sim.config import ScaleProfile
+from repro.sim.config import HardwareConfig, ScaleProfile
 from repro.sim.jobs import Executor
+from repro.virt.shadow import attach_shadow_paging
 
 SMOKE = ScaleProfile(
     name="smoke", bytes_per_paper_gb=1 << 20, machine_paper_gb=(128, 128)
 )
 WORKLOADS = ("svm", "pagerank")
+#: For the live-VM comparison: after hashjoin, svm's state differs from
+#: a fresh VM's for every chain kind, so a stage that ignored its
+#: checkpoint would fail the comparison.
+AGING_WORKLOADS = ("hashjoin", "svm")
 TRACE_LEN = 5_000
-
-#: (module name, plan kwargs) for every chain experiment.
-CHAIN_EXPERIMENTS = (
-    "fig13",
-    "fig14",
-    "table7",
-    "ext_shadow",
-    "ext_vhc",
-)
 
 
 def _blob(result) -> str:
     return json.dumps(to_jsonable(result), sort_keys=True)
 
 
-def _plan(name: str, staged: bool):
-    import importlib
-
+def _plan(name: str, scale=SMOKE, workloads=WORKLOADS):
     module = importlib.import_module(f"repro.experiments.{name}")
-    return module.plan(
-        scale=SMOKE, workloads=WORKLOADS, trace_len=TRACE_LEN, staged=staged
+    return module.plan(scale=scale, workloads=workloads, trace_len=TRACE_LEN)
+
+
+def _chains(name: str, scale=SMOKE, workloads=WORKLOADS) -> list[list]:
+    """The stage-cell chains one experiment's plan declares."""
+    cells = _plan(name, scale, workloads).cells
+    n = len(workloads)
+    if name == "fig13":  # native cells, then the THP+THP and CA+CA chains
+        return [cells[n:2 * n], cells[2 * n:3 * n]]
+    return [cells]
+
+
+#: Every plan that declares aging-VM chains.
+CHAIN_EXPERIMENTS = ("fig13", "fig14", "table7", "ext_shadow", "ext_vhc")
+
+
+def _live_steps(kind: str):
+    """A never-checkpointed VM of one chain kind, as a per-workload step
+    function returning what that chain's stage payload holds."""
+    hw = HardwareConfig()
+    if kind == "shadow":
+        vm = common.virtual_machine("ca", "ca", SMOKE)
+        pager = attach_shadow_paging(vm)
+        return lambda name: ext_shadow._shadow_step(
+            vm, pager, name, SMOKE, hw, TRACE_LEN
+        )
+    if kind == "vhc":
+        vm = common.virtual_machine("ca", "ca", SMOKE)
+        return lambda name: ext_vhc._vhc_step(vm, name, SMOKE, hw, TRACE_LEN)
+    policy, force_4k = {"thp": ("thp", (False, True)), "ca": ("ca", (False,))}[kind]
+    vm = common.virtual_machine(policy, policy, SMOKE)
+    return lambda name: common.virt_sim_step(
+        vm, name, SMOKE, hw, TRACE_LEN, force_4k
     )
 
 
+#: experiment -> the kind of each chain its plan declares, in order.
+CHAIN_KINDS = {
+    "fig13": ("thp", "ca"),  # THP+THP with force_4k=(False, True), CA+CA
+    "fig14": ("ca",),
+    "table7": ("ca",),
+    "ext_shadow": ("shadow",),
+    "ext_vhc": ("vhc",),
+}
+
+
 class TestStagedMatchesMonolithic:
+    """The monolithic reference is one live VM stepping through the
+    chain's workloads in a single pass, never checkpointed."""
+
     @pytest.mark.parametrize("name", CHAIN_EXPERIMENTS)
     def test_byte_identical(self, name):
-        staged = _plan(name, staged=True).run(Executor())
-        monolithic = _plan(name, staged=False).run(Executor())
-        assert _blob(staged) == _blob(monolithic)
+        chains = _chains(name, workloads=AGING_WORKLOADS)
+        assert len(chains) == len(CHAIN_KINDS[name])
+        for chain, kind in zip(chains, CHAIN_KINDS[name]):
+            stages = Executor().run(chain)
+            step = _live_steps(kind)
+            live = [step(workload) for workload in AGING_WORKLOADS]
+            assert _blob(common.stage_payloads(stages)) == _blob(live), kind
+
+
+class TestStageDeps:
+    @pytest.mark.parametrize("name", CHAIN_EXPERIMENTS)
+    def test_each_stage_depends_on_its_whole_prefix(self, name):
+        # The full suite: with five stages, "whole prefix" and "previous
+        # stage only" disagree from stage 2 on.
+        chains = _chains(name, common.QUICK_SCALE, common.SUITE)
+        assert len(chains) == (2 if name == "fig13" else 1)
+        for chain in chains:
+            assert len(chain) == len(common.SUITE)
+            for i, stage in enumerate(chain):
+                assert stage.deps == tuple(chain[:i]), (name, i)
 
 
 class TestCheckpoints:
     def test_state_digest_is_reproducible(self):
-        plan = _plan("fig14", staged=True)
+        plan = _plan("fig14")
         first = Executor().run(plan.cells)
         again = Executor().run(plan.cells)
         assert [s.state_digest for s in first] == [
@@ -83,8 +140,6 @@ class TestCheckpoints:
         assert all(s.state == t.state for s, t in zip(first, again))
 
     def test_checkpoint_round_trips_a_shadow_vm(self):
-        from repro.virt.shadow import attach_shadow_paging
-
         vm = common.virtual_machine("ca", "ca", SMOKE)
         pager = attach_shadow_paging(vm)
         blob, digest = common.checkpoint_vm(vm)
@@ -167,7 +222,7 @@ class TestCheckpoints:
 
 class TestResume:
     def test_killed_chain_recomputes_only_the_suffix(self, tmp_path):
-        plan = _plan("ext_vhc", staged=True)
+        plan = _plan("ext_vhc")
         assert len(plan.cells) == len(WORKLOADS)
         # The "crash": only the first stage completed before the kill.
         interrupted = Executor(cache=RunCache(tmp_path))
@@ -178,19 +233,17 @@ class TestResume:
         result = plan.assemble(resumed.run(plan.cells))
         assert resumed.stats.cache_hits == 1
         assert resumed.stats.computed == len(WORKLOADS) - 1
-        # And the resumed result is the monolithic result, bit for bit.
-        assert _blob(result) == _blob(_plan("ext_vhc", staged=False).run(
-            Executor()
-        ))
+        # And the resumed result is an uninterrupted run's, bit for bit.
+        assert _blob(result) == _blob(_plan("ext_vhc").run(Executor()))
 
     def test_fig13_fig14_table7_share_the_ca_chain(self, tmp_path):
         # The three CA+CA consumers build identical stage cells, so a
         # suite run computes that chain once.
         cache = RunCache(tmp_path)
-        Executor(cache=cache).run(_plan("fig14", staged=True).cells)
+        Executor(cache=cache).run(_plan("fig14").cells)
         for name in ("fig13", "table7"):
             ex = Executor(cache=RunCache(tmp_path))
-            plan = _plan(name, staged=True)
+            plan = _plan(name)
             plan.assemble(ex.run(plan.cells))
             # Every CA+CA stage is a hit; only other cells compute.
             assert ex.stats.cache_hits >= len(WORKLOADS)

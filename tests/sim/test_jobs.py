@@ -113,6 +113,30 @@ class TestCell:
         with pytest.raises(ConfigError):
             Cell(fn="no.colon.here").resolve()
 
+    def test_label_shows_dataclass_fields_and_deps(self):
+        from repro.sim.runner import RunOptions
+
+        first = cell(SQ, x=1, options=RunOptions(sample_every=None))
+        second = cell(SQ, deps=(first,), x=1, options=RunOptions())
+        assert first.label() == "_square(options=RunOptions(sample_every=None), x=1)"
+        assert second.label() == "_square(<1 deps>, options=RunOptions(), x=1)"
+
+    def test_distinct_suite_cells_get_distinct_labels(self):
+        from repro.cli import suite_plans
+
+        by_key = {}
+
+        def walk(c):
+            by_key[c.key("")] = c
+            for d in c.deps:
+                walk(d)
+
+        for _, _, plan in suite_plans(QUICK_SCALE):
+            for c in plan.cells:
+                walk(c)
+        labels = {c.label() for c in by_key.values()}
+        assert len(labels) == len(by_key)
+
 
 class TestRunCache:
     def test_miss_then_hit(self, tmp_path):
