@@ -311,13 +311,56 @@ class BuddyAllocator:
             out[got : got + take] = np.arange(head, head + take, dtype=np.int64)
             self.frames.mark_allocated_run(head, take)
             got += take
-            rem, end = head + take, head + block_pages
-            while rem < end:
-                align = (rem & -rem).bit_length() - 1
-                order = min(align, (end - rem).bit_length() - 1)
-                self._insert(rem, order)
-                rem += order_pages(order)
+            self._insert_greedy(head + take, head + block_pages)
         return out
+
+    def alloc_target_run(self, pfn: int, n: int) -> int:
+        """Claim the longest free prefix of ``[pfn, pfn + n)`` as order-0 pages.
+
+        Returns the number of pages claimed: 0 when ``pfn`` is in use or
+        unmanaged, and never past :attr:`end_pfn`.  The end state is
+        *identical* to that many sequential ``alloc_target(pfn + i, 0)``
+        calls (the first failing call changes nothing).  The claim walks
+        the free blocks it covers in address order; each is removed once
+        (firing the same max-order listener events in the same order),
+        and only the first can start below ``pfn``, only the last can
+        reach past the claim.  Sequentially, the first call splits that
+        first block and leaves its left remnant ``[head, pfn)`` as the
+        greedy buddy decomposition from ``head`` (orders strictly
+        decreasing); each later call takes the head of the smallest
+        right half left by the previous split, so what survives of the
+        last block is the greedy decomposition of the tail after the
+        claim (orders strictly increasing).  Each free list therefore
+        gets at most one block from each side, the left one inserted
+        first (at the first call) — the order used here — so every
+        list's FIFO order matches.  Remnants are strictly smaller than
+        their block, so none lands in the max-order list.
+        """
+        start = pfn
+        end = min(pfn + n, self.end_pfn)
+        while pfn < end:
+            found = self.find_free_block(pfn)
+            if found is None:
+                break
+            head, order = found
+            block_end = head + order_pages(order)
+            stop = min(end, block_end)
+            self._remove(head, order)
+            self._insert_greedy(head, pfn)
+            self.frames.mark_allocated_run(pfn, stop - pfn)
+            self._insert_greedy(stop, block_end)
+            pfn = stop
+        return pfn - start
+
+    def _insert_greedy(self, pfn: int, end: int) -> None:
+        """Insert ``[pfn, end)`` into the free lists as its greedy buddy
+        decomposition from the low end.  The caller guarantees the range
+        lies inside one block it just removed, so no coalescing is due."""
+        while pfn < end:
+            align = (pfn & -pfn).bit_length() - 1 if pfn else self.max_order
+            order = min(align, (end - pfn).bit_length() - 1)
+            self._insert(pfn, order)
+            pfn += order_pages(order)
 
     def _split_to(self, head: int, order: int, want: int, target: int) -> int:
         """Split block ``(head, order)`` down to ``want``, keeping ``target``.

@@ -126,6 +126,12 @@ class PhysicalMemory:
         """Targeted allocation; routes to the owning zone."""
         return self.zone_of(pfn).alloc_target(pfn, order)
 
+    def alloc_target_run(self, pfn: int, n: int) -> int:
+        """Targeted order-0 run claim; routes to the zone owning ``pfn``
+        and stops at that zone's end (see
+        :meth:`BuddyAllocator.alloc_target_run`)."""
+        return self.zone_of(pfn).alloc_target_run(pfn, n)
+
     def free_block(self, pfn: int, order: int) -> None:
         """Free a block; routes to the owning zone."""
         self.zone_of(pfn).free_block(pfn, order)

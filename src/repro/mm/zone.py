@@ -96,6 +96,11 @@ class Zone:
         """Allocate the specific block at ``pfn`` if it is entirely free."""
         return self.buddy.alloc_target(pfn, order)
 
+    def alloc_target_run(self, pfn: int, n: int) -> int:
+        """Claim the free prefix of ``[pfn, pfn + n)`` as order-0 pages,
+        stopping at the node end; returns the number claimed."""
+        return self.buddy.alloc_target_run(pfn, n)
+
     def free_block(self, pfn: int, order: int) -> None:
         """Free a block previously returned by this node."""
         self.buddy.free_block(pfn, order)

@@ -148,17 +148,37 @@ class CAPaging(PlacementPolicy):
     # -- page-cache readahead -------------------------------------------------
 
     def allocate_file(self, file: CachedFile, index: int, n_pages: int) -> list[int]:
-        """Steer readahead frames with the per-file offset (§III-C)."""
+        """Steer readahead frames with the per-file offset (§III-C).
+
+        Under one offset the window's targets are consecutive frames, so
+        a streak of targeted hits is claimed with one
+        :meth:`~repro.mm.physmem.PhysicalMemory.alloc_target_run` call
+        and accounted as that many :meth:`_try_target` hits.  The page
+        that ends a streak starts the next attempt: a claim of nothing
+        is the miss (accounted, then re-placed or defaulted page by
+        page); a streak cut at a zone end simply continues in the next
+        zone.  The frames and stats match the per-page loop exactly.
+        """
+        assert self.mem is not None
+        stats = self.stats
         pfns: list[int] = []
-        for i in range(n_pages):
-            idx = index + i
+        while len(pfns) < n_pages:
+            idx = index + len(pfns)
             target = -1 if file.ca_offset is None else idx - file.ca_offset
-            if target >= 0 and self._try_target(target, 0):
-                pfns.append(target)
-                continue
+            if target >= 0:
+                got = 0
+                if self._target_in_range(target, 0):
+                    got = self.mem.alloc_target_run(target, n_pages - len(pfns))
+                if got:
+                    stats.allocations += got
+                    stats.targeted_hits += got
+                    stats.zeroed_pages_per_event.extend([1] * got)
+                    pfns.extend(range(target, target + got))
+                    continue
+                stats.targeted_misses += 1
             placed = self._place_file(file, idx)
             if placed is None:
-                self.stats.fallbacks += 1
+                stats.fallbacks += 1
                 placed, _ = self._default_alloc(0, 0)
             pfns.append(placed)
         return pfns

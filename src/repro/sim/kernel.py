@@ -671,7 +671,7 @@ class Kernel:
 
     def drop_file(self, file: CachedFile) -> int:
         """Evict a file from the cache, freeing its frames."""
-        return self.page_cache.drop(file, lambda pfn: self._put_frame(pfn, 0))
+        return self.page_cache.drop(file, self._put_frame_span)
 
     def reclaim_pages(self, n_pages: int) -> int:
         """Direct reclaim: evict cached files (oldest first) until
@@ -693,8 +693,11 @@ class Kernel:
 
     def _file_allocate(self, file: CachedFile, index: int, n: int) -> list[int]:
         pfns = self.policy.allocate_file(file, index, n)
-        for pfn in pfns:
-            self._account_frame(pfn, 0)
+        start = 0
+        for i in range(1, len(pfns) + 1):
+            if i == len(pfns) or pfns[i] != pfns[i - 1] + 1:
+                self._account_frame_span(pfns[start], i - start)
+                start = i
         return pfns
 
     # -- migration (Ranger / Ingens service calls) -----------------------------------
@@ -882,7 +885,9 @@ class Kernel:
     def _account_frame(self, pfn: int, order: int, owner: int | None = None) -> None:
         self.mem.zone_of(pfn).frames.map_block(pfn, order_pages(order), owner)
 
-    def _account_frame_span(self, pfn: int, n_pages: int, owner: int) -> None:
+    def _account_frame_span(
+        self, pfn: int, n_pages: int, owner: int | None = None
+    ) -> None:
         """Batched :meth:`_account_frame` over ``n_pages`` base frames."""
         while n_pages > 0:
             zone = self.mem.zone_of(pfn)
@@ -890,7 +895,8 @@ class Kernel:
             frames = zone.frames
             i = frames.index(pfn)
             frames.mapcount[i:i + take] += 1
-            frames.owner[i:i + take] = owner
+            if owner is not None:
+                frames.owner[i:i + take] = owner
             pfn += take
             n_pages -= take
 

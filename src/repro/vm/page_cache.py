@@ -139,16 +139,32 @@ class PageCache:
         return file.pages[index]
 
     def drop(self, file: CachedFile, release) -> int:
-        """Evict every page of ``file``; calls ``release(pfn)`` per page.
+        """Evict every page of ``file``; returns the number of pages released.
 
-        Returns the number of pages released.
+        Frames go back through ``release(pfn, n)``, called once per
+        stretch of pages contiguous in both file index and frame, in
+        index order — so a CA-placed file is freed as a few frame spans,
+        not page by page.  The diagnostic :class:`MappingRuns` and the
+        ``frame_owner`` map are still updated one page at a time: the
+        runs' ``generation`` counter counts every structural change and
+        is part of the pickled state, so it must not depend on how the
+        frames were released.
         """
-        count = 0
+        runs = self.runs[file.inode]
+        # The open stretch: frames [start, end), file indices up to stop.
+        start = end = stop = 0
         for index, pfn in sorted(file.pages.items()):
-            release(pfn)
-            self.runs[file.inode].remove(index, 1)
+            if index != stop or pfn != end:
+                if end > start:
+                    release(start, end - start)
+                start = end = pfn
+            end += 1
+            stop = index + 1
+            runs.remove(index, 1)
             self.frame_owner.pop(pfn, None)
-            count += 1
+        if end > start:
+            release(start, end - start)
+        count = len(file.pages)
         file.pages.clear()
         return count
 

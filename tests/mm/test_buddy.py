@@ -6,6 +6,7 @@ import pytest
 from repro.errors import BuddyError, OutOfMemoryError
 from repro.mm.buddy import BuddyAllocator
 from repro.units import order_pages
+from tests.mm.buddy_state import buddy_state
 
 
 def make_buddy(n_pages=1024, max_order=5, **kw):
@@ -202,7 +203,9 @@ class TestAllocPagesBulk:
             got = bulk.alloc_pages_bulk(n).tolist()
             want = [seq.alloc_block(0) for _ in range(n)]
             assert got == want
-            assert bulk.free_list_sizes() == seq.free_list_sizes()
+            # List contents in FIFO order, not just sizes: later
+            # alloc_block pops depend on it.
+            assert buddy_state(bulk) == buddy_state(seq)
 
     def test_partial_max_order_block_survivors(self):
         # Taking 3 pages out of a fresh order-4 block leaves the 13-page

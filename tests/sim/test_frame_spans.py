@@ -9,6 +9,7 @@ empty stretch — and must stay bit-identical to the per-frame reference.
 
 from repro.sim.config import SystemConfig
 from repro.sim.machine import build_machine
+from tests.mm.buddy_state import machine_state
 
 TINY = SystemConfig(node_pages=(4 * 1024, 4 * 1024), churn_ops=0, engine="columnar")
 
@@ -68,20 +69,23 @@ class TestSpanRoundTrip:
         assert (zone.frames.mapcount[i:i + 96] == 0).all()
 
     def test_put_span_matches_per_frame_reference(self):
-        results = []
-        for batched in (True, False):
-            machine, kernel = fresh_kernel()
-            pfns = machine.mem.alloc_pages_bulk(40)
-            base = int(pfns[0])
-            kernel._account_frame_span(base, 40, owner=1)
-            if batched:
-                kernel._put_frame_span(base, 40)
-            else:
-                for p in range(base, base + 40):
-                    kernel._put_frame(p, 0)
-            zone = machine.mem.zone_of(base)
-            results.append((machine.mem.free_pages, zone.buddy.free_list_sizes()))
-        assert results[0] == results[1]
+        # (3, 34) leaves mapped frames on both sides of a misaligned
+        # stretch, so its blocks land in several free lists.
+        for skip, n in ((0, 40), (3, 34)):
+            results = []
+            for batched in (True, False):
+                machine, kernel = fresh_kernel()
+                pfns = machine.mem.alloc_pages_bulk(40)
+                base = int(pfns[0])
+                kernel._account_frame_span(base, 40, owner=1)
+                if batched:
+                    kernel._put_frame_span(base + skip, n)
+                else:
+                    for p in range(base + skip, base + skip + n):
+                        kernel._put_frame(p, 0)
+                results.append(machine_state(machine.mem))
+            # Free-list contents in FIFO order plus every frame column.
+            assert results[0] == results[1]
 
     def test_cow_shared_tail_survives_span_put(self):
         # Frames still mapped elsewhere (mapcount > 1) must not be freed

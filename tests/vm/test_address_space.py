@@ -195,9 +195,24 @@ class TestPageCache:
         f = cache.open(100)
         cache.read(f, 0, self._seq_allocator())
         released = []
-        assert cache.drop(f, released.append) == 4
-        assert released == [1000, 1001, 1002, 1003]
+        assert cache.drop(f, lambda pfn, n: released.append((pfn, n))) == 4
+        # One call per stretch contiguous in both file index and frame.
+        assert released == [(1000, 4)]
         assert cache.resident_pages == 0
+
+    def test_drop_releases_one_span_per_contiguous_stretch(self):
+        cache = PageCache(readahead_pages=4)
+        f = cache.open(16)
+        frames = iter([10, 11, 12, 20, 21, 22, 23, 30, 31, 32, 33, 40])
+        for index in (0, 4, 8):
+            cache.read(f, index, lambda file, i, n: [next(frames) for _ in range(n)])
+        cache.read(f, 13, lambda file, i, n: [41, 42, 43])
+        # Frame 20 at index 3 does not follow frame 12 at index 2, and
+        # index 13 does not follow index 11: each starts a new stretch.
+        released = []
+        assert cache.drop(f, lambda pfn, n: released.append((pfn, n))) == 15
+        assert released == [(10, 3), (20, 4), (30, 4), (40, 1), (41, 3)]
+        assert cache.resident_pages == 0 and not cache.frame_owner
 
     def test_contiguity_runs_tracked(self):
         cache = PageCache(readahead_pages=4)
