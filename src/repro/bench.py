@@ -91,14 +91,14 @@ BENCH_SCALES = {
 FAULT_POLICIES = ("thp", "ingens", "ca")
 
 #: Kernel engines the fault phase A/Bs, reference first.
-FAULT_ENGINES = ("scalar", "fast", "columnar")
+FAULT_ENGINES = ("scalar", "fast")
 
 #: Wall-clock budget (seconds) the paper-tier fault phase must fit in.
 PAPER_FAULT_BUDGET_S = 600.0
 
 #: Steps of the paper-tier fault phase replayed on the reference
-#: engines to project their full-run time (the full scalar run blows
-#: the budget by design — that is the point of the tier).
+#: engine to project its full-run time (the full scalar run blows the
+#: budget by design — that is the point of the tier).
 PAPER_PROBE_STEPS = 400
 
 #: Default trace length for the replay phase.
@@ -168,9 +168,7 @@ def bench_fault_path(scale: ScaleProfile, workload_name: str = "svm",
 
     All of :data:`FAULT_ENGINES` replay identical step sequences; state
     digests must agree across every pair before any speedup is
-    reported.  The headline ``speedup`` is scalar/columnar (the tracked
-    number); scalar/fast is kept as ``speedup_fast`` for continuity
-    with earlier reports.
+    reported.  The headline ``speedup`` is scalar/fast.
     """
     policies: dict[str, dict] = {}
     totals = dict.fromkeys(FAULT_ENGINES, 0.0)
@@ -192,9 +190,6 @@ def bench_fault_path(scale: ScaleProfile, workload_name: str = "svm",
         policies[policy] = {
             **{engine: runs[engine] for engine in runs},
             "speedup": round(
-                runs["scalar"]["seconds"] / max(runs["columnar"]["seconds"], 1e-9), 2
-            ),
-            "speedup_fast": round(
                 runs["scalar"]["seconds"] / max(runs["fast"]["seconds"], 1e-9), 2
             ),
             "engines_identical": same,
@@ -204,9 +199,7 @@ def bench_fault_path(scale: ScaleProfile, workload_name: str = "svm",
         "policies": policies,
         "scalar_seconds": round(totals["scalar"], 4),
         "fast_seconds": round(totals["fast"], 4),
-        "columnar_seconds": round(totals["columnar"], 4),
-        "fault_speedup": round(totals["scalar"] / max(totals["columnar"], 1e-9), 2),
-        "fault_speedup_fast": round(totals["scalar"] / max(totals["fast"], 1e-9), 2),
+        "fault_speedup": round(totals["scalar"] / max(totals["fast"], 1e-9), 2),
         "engines_identical": all(
             p["engines_identical"] for p in policies.values()
         ),
@@ -217,46 +210,37 @@ def bench_fault_path_paper(scale: ScaleProfile, workload_name: str = "bt",
                            policy: str = "ingens",
                            fault_steps: int | None = None,
                            budget_seconds: float = PAPER_FAULT_BUDGET_S) -> dict:
-    """Paper-tier fault phase: full columnar run + reference projections.
+    """Paper-tier fault phase: full ``fast`` run + scalar projection.
 
     At face-value scale (tens of millions of base-page faults) the
-    reference engines cannot finish inside ``budget_seconds``, so they
-    replay only :data:`PAPER_PROBE_STEPS` steps and their full-run time
-    is projected linearly from the probe's per-fault cost.  The
-    columnar engine runs the whole phase (capped only by
+    scalar reference engine cannot finish inside ``budget_seconds``, so
+    it replays only :data:`PAPER_PROBE_STEPS` steps and its full-run
+    time is projected linearly from the probe's per-fault cost.  The
+    ``fast`` engine runs the whole phase (capped only by
     ``fault_steps`` in CI smoke) and is timed for real.
     """
-    columnar = _fault_phase_once(
-        policy, "columnar", scale, workload_name, max_steps=fault_steps
+    fast = _fault_phase_once(
+        policy, "fast", scale, workload_name, max_steps=fault_steps
     )
-    del columnar["state"]
+    del fast["state"]
     probe_steps = PAPER_PROBE_STEPS
     if fault_steps is not None:
         probe_steps = min(probe_steps, fault_steps)
-    probes: dict[str, dict] = {}
-    projected: dict[str, float] = {}
-    for engine in ("scalar", "fast"):
-        probe = _fault_phase_once(
-            policy, engine, scale, workload_name, max_steps=probe_steps
-        )
-        del probe["state"]
-        probes[engine] = probe
-        projected[engine] = round(
-            probe["seconds"] * columnar["faults"] / max(probe["faults"], 1), 1
-        )
+    probe = _fault_phase_once(
+        policy, "scalar", scale, workload_name, max_steps=probe_steps
+    )
+    del probe["state"]
+    projected = round(probe["seconds"] * fast["faults"] / max(probe["faults"], 1), 1)
     return {
         "workload": workload_name,
         "policy": policy,
         "budget_seconds": budget_seconds,
-        "columnar": columnar,
-        "probes": probes,
-        "scalar_projected_seconds": projected["scalar"],
-        "fast_projected_seconds": projected["fast"],
-        "columnar_in_budget": columnar["seconds"] <= budget_seconds,
-        "scalar_in_budget": projected["scalar"] <= budget_seconds,
-        "fault_speedup": round(
-            projected["scalar"] / max(columnar["seconds"], 1e-9), 2
-        ),
+        "fast": fast,
+        "scalar_probe": probe,
+        "scalar_projected_seconds": projected,
+        "fast_in_budget": fast["seconds"] <= budget_seconds,
+        "scalar_in_budget": projected <= budget_seconds,
+        "fault_speedup": round(projected / max(fast["seconds"], 1e-9), 2),
     }
 
 
@@ -497,7 +481,7 @@ def run_bench(scale_name: str = "default", workload_name: str = "svm",
     """Run all phases; returns the JSON-ready report.
 
     The ``paper`` scale runs only the fault phase — in its
-    full-columnar-plus-reference-projection form (the workload defaults
+    full-fast-plus-scalar-projection form (the workload defaults
     to ``bt``, the paper's largest footprint) — because the replay/walk
     phases measure per-access MMU engines whose cost does not depend on
     the machine scale.
@@ -514,7 +498,7 @@ def run_bench(scale_name: str = "default", workload_name: str = "svm",
             "python": platform.python_version(),
             "fault_path": fault,
             "fault_speedup": fault["fault_speedup"],
-            "columnar_in_budget": fault["columnar_in_budget"],
+            "fast_in_budget": fault["fast_in_budget"],
             "scalar_in_budget": fault["scalar_in_budget"],
             "wall_seconds": round(time.time() - started, 1),
         }

@@ -228,20 +228,19 @@ def _cmd_bench(args) -> int:
     out = write_report(report, args.out)
     fault = report["fault_path"]
     if scale_name == "paper":
-        col = fault["columnar"]
-        print(f"fault path [paper/{fault['policy']}]: columnar "
-              f"{col['seconds']:.1f}s for {col['faults']:,} faults "
-              f"({col['faults_per_sec']:,.0f}/s)")
-        print(f"scalar projected: {fault['scalar_projected_seconds']:.0f}s, "
-              f"fast projected: {fault['fast_projected_seconds']:.0f}s "
+        fast = fault["fast"]
+        print(f"fault path [paper/{fault['policy']}]: fast "
+              f"{fast['seconds']:.1f}s for {fast['faults']:,} faults "
+              f"({fast['faults_per_sec']:,.0f}/s)")
+        print(f"scalar projected: {fault['scalar_projected_seconds']:.0f}s "
               f"(budget {fault['budget_seconds']:.0f}s)")
-        print(f"columnar in budget: {fault['columnar_in_budget']}, "
+        print(f"fast in budget: {fault['fast_in_budget']}, "
               f"scalar in budget: {fault['scalar_in_budget']}")
-        print(f"fault-path speedup (projected scalar / columnar): "
+        print(f"fault-path speedup (projected scalar / fast): "
               f"{report['fault_speedup']}x")
         print(f"[saved {out} in {report['wall_seconds']}s]")
-        if not fault["columnar_in_budget"]:
-            print("columnar paper-tier run blew the budget", file=sys.stderr)
+        if not fault["fast_in_budget"]:
+            print("fast paper-tier run blew the budget", file=sys.stderr)
             return 1
         if args.min_fault_speedup and report["fault_speedup"] < args.min_fault_speedup:
             print(f"fault-path speedup {report['fault_speedup']}x below required "
@@ -251,7 +250,6 @@ def _cmd_bench(args) -> int:
     for policy, row in fault["policies"].items():
         print(f"fault path [{policy:>6}]: scalar {row['scalar']['seconds']:.2f}s"
               f" -> fast {row['fast']['seconds']:.2f}s"
-              f" -> columnar {row['columnar']['seconds']:.2f}s"
               f" ({row['speedup']}x, identical={row['engines_identical']})")
     print(f"fault path aggregate: {report['fault_speedup']}x faults/sec")
     for name, row in report["replay"]["states"].items():
@@ -764,8 +762,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale", default=None,
         help="bench scale: test/quick/default/big/paper (default: "
              "$REPRO_BENCH_SCALE or default); 'paper' runs the "
-             "face-value fault phase only (columnar full run + "
-             "reference-engine projections)",
+             "face-value fault phase only (fast full run + "
+             "scalar-engine projection)",
     )
     bench_p.add_argument(
         "--workload", default="svm", help="workload to replay (default: svm)",
@@ -785,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_p.add_argument(
         "--min-fault-speedup", type=float, default=None, metavar="X",
-        help="exit nonzero unless the fault phase's columnar engine "
+        help="exit nonzero unless the fault phase's fast engine "
              "beats the scalar engine by at least this factor (CI gate)",
     )
     bench_p.add_argument(

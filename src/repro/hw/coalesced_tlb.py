@@ -204,24 +204,21 @@ class CoalescedTlb:
                     continue  # warm window not accessed in this batch
                 g = int(np.searchsorted(group_starts, p, side="right")) - 1
                 lo, hi = int(group_starts[g]), int(group_ends[g])
-                seg_hi = lo + 1
-                while seg_hi < hi and not seg_first[seg_hi]:
-                    seg_hi += 1
+                # The warm entry stays installed until the window's first
+                # miss, which may fall in any segment: a warm interval
+                # from an earlier run table can cover several of this
+                # batch's runs.
                 cstart, cend = warm_all[w]
-                v_seg = vpns[order[lo:seg_hi]]
-                wcov = (
-                    hit_sorted[lo:seg_hi]
-                    & (cstart <= v_seg)
-                    & (v_seg < cend)
-                )
+                v_grp = vpns[order[lo:hi]]
+                wcov = hit_sorted[lo:hi] & (cstart <= v_grp) & (v_grp < cend)
                 miss_at = np.flatnonzero(~wcov)
-                first_miss = int(miss_at[0]) if miss_at.size else seg_hi - lo
-                fixed = covered_sorted[lo:seg_hi]
+                first_miss = int(miss_at[0]) if miss_at.size else hi - lo
+                fixed = covered_sorted[lo:hi]
                 fixed[:first_miss] = True
-                if first_miss < seg_hi - lo:
+                if first_miss < hi - lo:
                     fixed[first_miss] = False  # the installing miss
                 # Positions after the install are governed by residency
-                # alone (the installed run is the segment's own run),
+                # alone (the installed run is that segment's own run),
                 # which covered_sorted already encodes.
 
         covered_mask = np.empty(n, dtype=bool)

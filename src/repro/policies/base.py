@@ -107,7 +107,7 @@ class PlacementPolicy:
         return [self._default_alloc(0, 0)[0] for _ in range(n_pages)]
 
     def on_fault_batch(self, ctx: FaultContext, vpns) -> "np.ndarray":
-        """Batch-place order-0 faults for the columnar engine.
+        """Batch-place order-0 faults for the ``fast`` span fault path.
 
         ``vpns`` is an ascending int64 array of unmapped base VPNs; the
         policy may claim any *prefix* of it and must return the matching

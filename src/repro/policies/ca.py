@@ -111,7 +111,7 @@ class CAPaging(PlacementPolicy):
         return self._default_alloc(ctx.order, ctx.preferred_node)
 
     def on_fault_batch(self, ctx: FaultContext, vpns):
-        """Columnar engine: claim the streak of successful targeted grabs.
+        """Span fault path: claim the streak of successful targeted grabs.
 
         Targets are computed for the whole batch at once (nearest
         recorded offset per fault, same first-minimum tie-break as

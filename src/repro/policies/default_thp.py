@@ -21,5 +21,5 @@ class DefaultPaging(PlacementPolicy):
         return self._default_alloc(ctx.order, ctx.preferred_node)
 
     def on_fault_batch(self, ctx: FaultContext, vpns):
-        """Columnar engine: one bulk buddy grab for the whole stretch."""
+        """Span fault path: one bulk buddy grab for the whole stretch."""
         return self._bulk_alloc_accounted(len(vpns), ctx.preferred_node)

@@ -56,7 +56,7 @@ class IngensPaging(PlacementPolicy):
         return self._default_alloc(0, ctx.preferred_node)
 
     def on_fault_batch(self, ctx: FaultContext, vpns):
-        """Columnar engine: bulk base-page grab + array-reduced util counts.
+        """Span fault path: bulk base-page grab + array-reduced util counts.
 
         ``np.unique`` on the ascending VPN batch yields regions in
         first-fault order, so ``_util``'s dict insertion order — which
@@ -102,11 +102,6 @@ class IngensPaging(PlacementPolicy):
                 # covered pages replaces 512 per-page walks.
                 n_resident = process.space.runs.covered_pages(
                     region, region + HUGE_PAGES
-                )
-            elif kernel.engine == "columnar":
-                # Present-bitmap popcount over the region slice.
-                n_resident = process.space.region_resident_pages(
-                    vma, region, region + HUGE_PAGES
                 )
             else:
                 n_resident = len(self._resident_pages(process.space, region))

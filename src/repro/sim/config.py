@@ -61,8 +61,8 @@ DEFAULT_SCALE = ScaleProfile(name="default", bytes_per_paper_gb=16 * MIB)
 BIG_SCALE = ScaleProfile(name="big", bytes_per_paper_gb=32 * MIB)
 #: Full paper scale: 1 paper GiB = 1 simulated GiB, so the 256 GiB
 #: machine and the 29–167 GB footprints are exercised at face value.
-#: Only the columnar engine's batched paths finish fault phases at
-#: this tier in reasonable time (see docs/scaling.md).
+#: Only the ``fast`` engine's batched span fault path finishes fault
+#: phases at this tier in reasonable time (see docs/scaling.md).
 PAPER_SCALE = ScaleProfile(name="paper", bytes_per_paper_gb=GIB)
 
 
@@ -87,10 +87,10 @@ class SystemConfig:
     #: Contiguous-mapping threshold (pages) for the SpOT PTE bit (§IV-C).
     contig_threshold: int = 32
     seed: int = 42
-    #: Kernel simulation engine: ``"columnar"`` (batched spans over
-    #: structure-of-arrays state), ``"fast"`` (batched hot paths over
-    #: object state) or ``"scalar"`` (reference page-at-a-time paths).
-    #: Identical observable behaviour; the bench harness A/Bs them.
+    #: Kernel simulation engine: ``"fast"`` (batched span faulting and
+    #: batched hot paths) or ``"scalar"`` (reference page-at-a-time
+    #: paths).  Identical observable behaviour; the bench harness A/Bs
+    #: them.
     engine: str = "fast"
 
     def __post_init__(self) -> None:
@@ -98,7 +98,7 @@ class SystemConfig:
             raise ConfigError("node_pages must name at least one node")
         if self.max_order < 1:
             raise ConfigError(f"max_order must be >= 1, got {self.max_order}")
-        if self.engine not in ("fast", "scalar", "columnar"):
+        if self.engine not in ("fast", "scalar"):
             raise ConfigError(f"unknown kernel engine {self.engine!r}")
 
     @classmethod

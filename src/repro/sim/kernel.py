@@ -153,23 +153,22 @@ class Kernel:
         tick_every_faults: int = 256,
         engine: str = "fast",
     ):
-        if engine not in ("fast", "scalar", "columnar"):
+        if engine not in ("fast", "scalar"):
             raise ConfigError(f"unknown kernel engine {engine!r}")
         self.mem = mem
         self.policy = policy
         policy.bind(mem)
         policy.oom_reclaim = self.reclaim_pages
         self.thp = thp
-        #: ``"columnar"`` routes whole-span batched fault paths over
-        #: structure-of-arrays state (bulk buddy pops, per-VMA columns,
-        #: policy ``on_fault_batch`` hooks); ``"fast"`` routes the
-        #: leaf-at-a-time batched hot paths (span faulting, leaf-order
-        #: fork, region-batched promotion); ``"scalar"`` routes the
-        #: reference page-at-a-time paths.  The observable state and
-        #: counters are identical; the bench harness A/Bs the engines.
+        #: ``"fast"`` routes the batched hot paths (whole-span faulting
+        #: through bulk buddy pops and policy ``on_fault_batch`` hooks,
+        #: leaf-order fork, region-batched promotion); ``"scalar"``
+        #: routes the reference page-at-a-time paths.  The observable
+        #: state and counters are identical; the bench harness A/Bs the
+        #: engines.
         self.engine = engine
         #: True when the bound policy overrides ``on_fault_batch`` (the
-        #: columnar span path then claims whole order-0 batches).
+        #: span fault path then claims whole order-0 batches).
         self._policy_batches = (
             type(policy).on_fault_batch is not PlacementPolicy.on_fault_batch
         )
@@ -195,8 +194,6 @@ class Kernel:
         process = Process(self._next_pid, name, preferred_node)
         self._next_pid += 1
         self._processes[process.pid] = process
-        if self.engine == "columnar":
-            process.space.columnar = True
         return process
 
     def iter_processes(self) -> Iterator[Process]:
@@ -327,68 +324,31 @@ class Kernel:
                    on_span=None) -> tuple[int, int]:
         """Fault in the (unmapped) span ``[vpn, end)`` inside ``vma``.
 
-        The batched analogue of calling :meth:`fault` per page: one
-        policy call per granted leaf, without re-walking the page table
-        or re-resolving the VMA between leaves.  ``on_fault`` is invoked
-        after each fault (the hypervisor backs the granted frames there);
-        ``on_span(vpn, pfn, n_pages)`` is its whole-segment analogue for
-        the columnar engine.  Stops early when a policy tick fires,
-        because daemon work may have remapped pages inside the caller's
-        pending span.  Returns ``(major_faults, next_vpn)``.
-
-        The columnar engine batches order-0 stretches through the
-        policy's ``on_fault_batch`` hook (when ``on_fault`` does not
-        force per-leaf granularity); huge faults and policy-ceded pages
-        take the identical per-leaf path.
-        """
-        if self.engine == "columnar" and on_fault is None:
-            return self._fault_span_columnar(process, vma, vpn, end, write, on_span)
-        space = process.space
-        majors = 0
-        thp = self.thp
-        huge_candidate = space.huge_candidate
-        pte_flags = self._prot_flags(vma, write)
-        ctx = FaultContext(
-            space, vma, vpn, 0, write=write,
-            preferred_node=process.preferred_node,
-        )
-        while vpn < end:
-            base_vpn, req_order = vpn, 0
-            if thp:
-                candidate = huge_candidate(vma, vpn)
-                if candidate is not None:
-                    base_vpn, req_order = candidate, HUGE_ORDER
-            result, ticked = self._install_fault(
-                process, vma, base_vpn, req_order, vpn, write,
-                pte_flags=pte_flags, ctx=ctx,
-            )
-            majors += 1
-            if on_fault is not None:
-                on_fault(result)
-            vpn = result.vpn + order_pages(result.order)
-            if ticked:
-                break
-        return majors, vpn
-
-    def _fault_span_columnar(self, process: Process, vma: Vma, vpn: int,
-                             end: int, write: bool,
-                             on_span=None) -> tuple[int, int]:
-        """Whole-span batched faulting (the ``columnar`` engine path).
-
-        Order-0 stretches are claimed from the policy in one
+        The batched analogue of calling :meth:`fault` per page, without
+        re-walking the page table or re-resolving the VMA between
+        leaves.  Order-0 stretches are claimed from the policy in one
         ``on_fault_batch`` call (bounded by the pending tick budget so
         daemon ticks fire after exactly the same fault as the scalar
-        engine), installed with one page-table descent per PT node and
-        one run/column/frame update per physically contiguous segment.
+        engine) and installed with one page-table descent per PT node
+        and one run/frame update per physically contiguous segment.
         Huge-eligible faults and pages the policy declines to batch
         (placement decisions, OOM fallbacks) take the per-leaf reference
         path, so the observable state is bit-identical to the scalar
         engine's.
+
+        ``on_span(vpn, pfn, n_pages)`` is invoked for every installed
+        segment (the hypervisor nested-backs the granted frames there).
+        ``on_fault(result)`` instead forces per-leaf granularity so each
+        fault hook sees its :class:`FaultResult`.  Stops early when a
+        policy tick fires, because daemon work may have remapped pages
+        inside the caller's pending span.  Returns
+        ``(major_faults, next_vpn)``.
         """
         space = process.space
         majors = 0
         thp = self.thp
         huge_candidate = space.huge_candidate
+        batch = self._policy_batches and on_fault is None
         pte_flags = self._prot_flags(vma, write)
         batch_latency = FAULT_BASE_US + ZERO_US_PER_PAGE
         ctx = FaultContext(
@@ -396,27 +356,17 @@ class Kernel:
             preferred_node=process.preferred_node,
         )
         while vpn < end:
-            span_end = end
+            base_vpn, req_order, span_end = vpn, 0, end
             if thp:
                 candidate = huge_candidate(vma, vpn)
                 if candidate is not None:
-                    result, ticked = self._install_fault(
-                        process, vma, candidate, HUGE_ORDER, vpn, write,
-                        pte_flags=pte_flags, ctx=ctx,
-                    )
-                    majors += 1
-                    if on_span is not None:
-                        on_span(result.vpn, result.pfn, order_pages(result.order))
-                    vpn = result.vpn + order_pages(result.order)
-                    if ticked:
-                        break
-                    continue
-                # No huge leaf here: the rest of this 2 MiB region is
-                # order-0 (the slot stays ineligible once partial).
-                span_end = min(end, (vpn | (HUGE_PAGES - 1)) + 1)
+                    base_vpn, req_order = candidate, HUGE_ORDER
+                else:
+                    # No huge leaf here: the rest of this 2 MiB region is
+                    # order-0 (the slot stays ineligible once partial).
+                    span_end = min(end, (vpn | (HUGE_PAGES - 1)) + 1)
             take = min(span_end - vpn, self.tick_every_faults - self._faults_since_tick)
-            got = 0
-            if self._policy_batches and take > 1:
+            if batch and req_order == 0 and take > 1:
                 ctx.vpn = vpn
                 ctx.order = 0
                 vpns = np.arange(vpn, vpn + take, dtype=np.int64)
@@ -436,20 +386,24 @@ class Kernel:
                         self._faults_since_tick = 0
                         self.policy.tick(self)
                         break  # daemon work may have remapped the pending span
-            if got < take and vpn < span_end:
-                # The policy ceded this page (or batching is off): take
-                # the per-leaf reference path, which carries the full
-                # placement / OOM / reclaim semantics.
-                result, ticked = self._install_fault(
-                    process, vma, vpn, 0, vpn, write,
-                    pte_flags=pte_flags, ctx=ctx,
-                )
-                majors += 1
-                if on_span is not None:
-                    on_span(result.vpn, result.pfn, order_pages(result.order))
-                vpn = result.vpn + order_pages(result.order)
-                if ticked:
-                    break
+                    if got == take:
+                        continue
+                    base_vpn = vpn
+            # Per-leaf reference path: huge faults, pages the policy
+            # ceded, and every leaf when batching is off.  It carries the
+            # full placement / OOM / reclaim semantics.
+            result, ticked = self._install_fault(
+                process, vma, base_vpn, req_order, vpn, write,
+                pte_flags=pte_flags, ctx=ctx,
+            )
+            majors += 1
+            if on_fault is not None:
+                on_fault(result)
+            elif on_span is not None:
+                on_span(result.vpn, result.pfn, order_pages(result.order))
+            vpn = result.vpn + order_pages(result.order)
+            if ticked:
+                break
         return majors, vpn
 
     def _install_span_batch(self, process: Process, vma: Vma, vpn: int,
@@ -492,7 +446,6 @@ class Kernel:
             if contig_from >= seg_n and run.n_pages >= thr:
                 # Successor merge crossed the threshold on the last page.
                 last.flags |= PteFlags.CONTIG
-                space.note_contig(seg_vpn + seg_n - 1, 1)
             self._account_frame_span(seg_pfn, seg_n, owner)
             if on_span is not None:
                 on_span(seg_vpn, seg_pfn, seg_n)
@@ -510,8 +463,8 @@ class Kernel:
         are skipped via the mapping runs (which mirror the page table
         exactly) and unmapped gaps are faulted through
         :meth:`fault_span`, so the cost is one run lookup per stretch
-        plus one policy call per granted leaf — not one page-table walk
-        per page.  Behaviour is identical to :meth:`touch_range_scalar`,
+        plus one policy call per order-0 batch or huge leaf — not one
+        page-table walk per page.  Behaviour is identical to :meth:`touch_range_scalar`,
         which the ``scalar`` engine routes here.
         """
         if self.engine == "scalar":
@@ -751,8 +704,6 @@ class Kernel:
         space.runs.remove(wb.base_vpn, pages)
         space.runs.add(wa.base_vpn, pfn_b, pages)
         space.runs.add(wb.base_vpn, pfn_a, pages)
-        space.note_remap(wa.base_vpn, pfn_b, pages)
-        space.note_remap(wb.base_vpn, pfn_a, pages)
         self._update_contig_bit(space, wa.base_vpn)
         self._update_contig_bit(space, wb.base_vpn)
         self.tlb_shootdowns += 2
@@ -878,7 +829,6 @@ class Kernel:
             pte = space.page_table.lookup(base_vpn)
         if pte is not None:
             pte.flags |= PteFlags.CONTIG
-            space.note_contig(base_vpn, order_pages(pte.order))
 
     # -- frame accounting --------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 ``RPT1`` is a versioned, magic-header-framed container around pickle
 protocol 5.  ``dumps`` extracts every contiguous buffer (numpy SoA
 columns, bitmaps, page-table arrays) out-of-band via ``PickleBuffer``
-so the multi-MB columnar state is never byte-copied through the
+so the multi-MB array state is never byte-copied through the
 pickler, then encodes each buffer independently through a canonical
 codec ladder:
 

@@ -194,11 +194,11 @@ class VirtualMachine:
         ``fault_span``; each granted guest leaf is nested-backed
         immediately, exactly like the per-page :meth:`guest_fault` path.
         The ``scalar`` guest engine routes the reference per-leaf loop.
-        A ``columnar`` guest with no fault hooks nested-backs whole
-        granted segments through ``on_span`` (one host ``touch_range``
-        per physically contiguous gPA stretch); with hooks installed it
-        keeps the per-fault ``on_fault`` callback, which routes the span
-        through the per-leaf path so every hook sees its FaultResult.
+        With no fault hooks, whole granted segments are nested-backed
+        through ``on_span`` (one host ``touch_range`` per physically
+        contiguous gPA stretch); with hooks installed the per-fault
+        ``on_fault`` callback routes the span through the per-leaf path
+        so every hook sees its FaultResult.
         """
         if self.guest_kernel.engine == "scalar":
             return self._guest_touch_range_scalar(process, start_vpn, n_pages, write)
@@ -212,13 +212,10 @@ class VirtualMachine:
             for hook in self.fault_hooks:
                 hook(process, result)
 
-        on_fault = back
-        on_span = None
-        if self.guest_kernel.engine == "columnar" and not self.fault_hooks:
-            on_fault = None
+        def back_span(_vpn: int, pfn: int, n: int) -> None:
+            self.ensure_backed(pfn, n)
 
-            def on_span(_vpn: int, pfn: int, n: int) -> None:
-                self.ensure_backed(pfn, n)
+        on_fault = back if self.fault_hooks else None
 
         while vpn < end:
             gap = space.runs.next_unmapped(vpn, end)
@@ -232,7 +229,7 @@ class VirtualMachine:
                 )
             n, vpn = self.guest_kernel.fault_span(
                 process, vma, gap_start, min(gap_end, vma.end_vpn), write,
-                on_fault=on_fault, on_span=on_span,
+                on_fault=on_fault, on_span=back_span,
             )
             majors += n
         process.touched_pages += n_pages

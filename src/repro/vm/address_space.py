@@ -15,8 +15,6 @@ from __future__ import annotations
 import bisect
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import AddressSpaceError, MappingError
 from repro.units import HUGE_PAGES, align_up
 from repro.vm.flags import PteFlags, VmaFlags
@@ -29,30 +27,6 @@ DEFAULT_MMAP_BASE_VPN = 0x7F00_0000_0000 >> 12  # 0x7f0000000 pages
 #: Unmapped guard gap between consecutive VMAs, in pages.
 VMA_GAP_PAGES = HUGE_PAGES
 
-#: Sentinel in a :class:`VmaColumns` pfn column for unmapped pages.
-NO_FRAME = -1
-
-
-class VmaColumns:
-    """Structure-of-arrays mirror of one VMA's leaf state.
-
-    Four parallel columns indexed by ``vpn - vma.start_vpn``: a present
-    bitmap, the backing PFN (``NO_FRAME`` when unmapped — together with
-    the VPN index this is the per-page offset array), and mirrors of the
-    DIRTY and CONTIG PTE bits.  Maintained incrementally by the columnar
-    address-space paths so utilization/promotion scans become array
-    reductions instead of page-table walks.
-    """
-
-    __slots__ = ("start_vpn", "present", "pfn", "dirty", "contig")
-
-    def __init__(self, vma: Vma):
-        self.start_vpn = vma.start_vpn
-        self.present = np.zeros(vma.n_pages, dtype=bool)
-        self.pfn = np.full(vma.n_pages, NO_FRAME, dtype=np.int64)
-        self.dirty = np.zeros(vma.n_pages, dtype=bool)
-        self.contig = np.zeros(vma.n_pages, dtype=bool)
-
 
 class AddressSpace:
     """Virtual address space of one process (or one guest kernel)."""
@@ -63,10 +37,16 @@ class AddressSpace:
         self._vma_starts: list[int] = []
         self._vmas: dict[int, Vma] = {}
         self._mmap_cursor = mmap_base_vpn
-        #: True when per-VMA columns are maintained (columnar engine);
-        #: scalar/fast address spaces pay nothing for the feature.
-        self.columnar = False
-        self._columns: dict[int, VmaColumns] = {}
+
+    # Checkpoint digests cover the pickled layout, which still carries the retired
+    # column-mirror keys (ROADMAP: "Checkpoints that hold only semantic state").
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "columnar": False, "_columns": {}}
+
+    def __setstate__(self, state: dict) -> None:
+        state.pop("columnar", None)
+        state.pop("_columns", None)
+        self.__dict__.update(state)
 
     # -- VMA management ----------------------------------------------------
 
@@ -122,7 +102,6 @@ class AddressSpace:
         del self._vma_starts[i]
         del self._vmas[vma.start_vpn]
         vma.mapped_pages = 0
-        self._columns.pop(vma.start_vpn, None)
         return removed
 
     def _overlaps(self, start: int, n_pages: int) -> bool:
@@ -156,33 +135,22 @@ class AddressSpace:
         pte = self.page_table.map(vpn, pfn, order=order, flags=flags)
         self.runs.add(vpn, pfn, 1 << order)
         vma.mapped_pages += 1 << order
-        if self.columnar:
-            self._note_installed(vma, vpn, pfn, 1 << order, pte.flags)
         return pte
 
     def install_run(self, vma: Vma, vpn: int, pfn: int, n_pages: int,
                     flags: PteFlags, contig_from: int | None = None):
         """Map ``n_pages`` consecutive base leaves in one batch.
 
-        The columnar fault path's installer: one :meth:`PageTable.map_span`
-        descent per PT node, one run insertion, one accounting update and
-        one column slice write for the whole physical segment.  Pages at
-        index >= ``contig_from`` carry the CONTIG bit from creation.
+        The span fault path's installer: one :meth:`PageTable.map_span`
+        descent per PT node, one run insertion and one accounting update
+        for the whole physical segment.  Pages at index >= ``contig_from``
+        carry the CONTIG bit from creation.
         Returns ``(merged_run, last_pte)`` so the caller can apply the
         successor-merge contiguity fixup.
         """
         last = self.page_table.map_span(vpn, pfn, n_pages, flags, contig_from)
         run = self.runs.add(vpn, pfn, n_pages)
         vma.mapped_pages += n_pages
-        if self.columnar:
-            cols = self.columns_for(vma)
-            i = vpn - vma.start_vpn
-            cols.present[i : i + n_pages] = True
-            cols.pfn[i : i + n_pages] = np.arange(pfn, pfn + n_pages, dtype=np.int64)
-            if flags & PteFlags.DIRTY:
-                cols.dirty[i : i + n_pages] = True
-            if contig_from is not None and contig_from < n_pages:
-                cols.contig[i + contig_from : i + n_pages] = True
         return run, last
 
     def uninstall(self, vma: Vma, vpn: int) -> Pte:
@@ -194,8 +162,6 @@ class AddressSpace:
         pages = 1 << walk.pte.order
         self.runs.remove(walk.base_vpn, pages)
         vma.mapped_pages -= pages
-        if self.columnar:
-            self._note_uninstalled(vma, walk.base_vpn, pages)
         return walk.pte
 
     def uninstall_region(self, vma: Vma, region_vpn: int) -> list[tuple[int, int, int]]:
@@ -206,73 +172,10 @@ class AddressSpace:
         returning the removed ``(vpn, pfn, n_pages)`` chunks so the
         caller can release contiguous physical stretches together.
         """
-        from repro.units import HUGE_PAGES as _HUGE
-
         removed = self.page_table.unmap_region_leaves(region_vpn)
-        chunks = self.runs.remove_span(region_vpn, region_vpn + _HUGE)
+        chunks = self.runs.remove_span(region_vpn, region_vpn + HUGE_PAGES)
         vma.mapped_pages -= len(removed)
-        if self.columnar and removed:
-            self._note_uninstalled(vma, region_vpn, _HUGE)
         return chunks
-
-    # -- columnar per-VMA state --------------------------------------------
-
-    def columns_for(self, vma: Vma) -> VmaColumns:
-        """The VMA's column set, created lazily on first use."""
-        cols = self._columns.get(vma.start_vpn)
-        if cols is None:
-            cols = self._columns[vma.start_vpn] = VmaColumns(vma)
-        return cols
-
-    def _note_installed(self, vma: Vma, vpn: int, pfn: int, n_pages: int,
-                        flags: PteFlags) -> None:
-        cols = self.columns_for(vma)
-        i = vpn - vma.start_vpn
-        cols.present[i : i + n_pages] = True
-        cols.pfn[i : i + n_pages] = np.arange(pfn, pfn + n_pages, dtype=np.int64)
-        cols.dirty[i : i + n_pages] = bool(flags & PteFlags.DIRTY)
-        cols.contig[i : i + n_pages] = bool(flags & PteFlags.CONTIG)
-
-    def _note_uninstalled(self, vma: Vma, vpn: int, n_pages: int) -> None:
-        cols = self.columns_for(vma)
-        i = vpn - vma.start_vpn
-        cols.present[i : i + n_pages] = False
-        cols.pfn[i : i + n_pages] = NO_FRAME
-        cols.dirty[i : i + n_pages] = False
-        cols.contig[i : i + n_pages] = False
-
-    def note_contig(self, vpn: int, n_pages: int) -> None:
-        """Mirror a CONTIG-bit upgrade of an existing leaf to the columns."""
-        if not self.columnar:
-            return
-        vma = self.vma_at(vpn)
-        if vma is None:
-            return
-        i = vpn - vma.start_vpn
-        self.columns_for(vma).contig[i : i + n_pages] = True
-
-    def note_remap(self, vpn: int, pfn: int, n_pages: int) -> None:
-        """Mirror an in-place PFN change (page exchange) to the columns."""
-        if not self.columnar:
-            return
-        vma = self.vma_at(vpn)
-        if vma is None:
-            return
-        i = vpn - vma.start_vpn
-        cols = self.columns_for(vma)
-        cols.pfn[i : i + n_pages] = np.arange(pfn, pfn + n_pages, dtype=np.int64)
-
-    def region_resident_pages(self, vma: Vma, start: int, end: int) -> int:
-        """Mapped pages in ``[start, end)`` of one VMA.
-
-        On a columnar space this is a bitmap reduction (the Ingens
-        utilization scan); otherwise it falls back to the run cover.
-        """
-        if self.columnar:
-            cols = self.columns_for(vma)
-            i = start - vma.start_vpn
-            return int(np.count_nonzero(cols.present[i : end - vma.start_vpn]))
-        return self.runs.covered_pages(start, end)
 
     # -- queries ---------------------------------------------------------------
 

@@ -155,7 +155,7 @@ class TestCheckpoints:
         """A stage written as a delta carries the same logical digest —
         and resumes to the same VM — as the full framing of the same
         state, for every kernel engine."""
-        for engine in ("fast", "scalar", "columnar"):
+        for engine in ("fast", "scalar"):
             vm = common.virtual_machine("ca", "ca", SMOKE, engine=engine)
             blob0, digest0 = common.checkpoint_vm(vm)
             stage0 = common.ChainStage(

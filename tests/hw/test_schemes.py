@@ -1,7 +1,9 @@
-"""Unit tests for vRMM, Direct Segments, vHC and the walk model."""
+"""Unit tests for vRMM, Direct Segments, vHC, the coalesced TLB and walk model."""
 
+import numpy as np
 import pytest
 
+from repro.hw.coalesced_tlb import CoalescedTlb
 from repro.hw.direct_segment import DirectSegment
 from repro.hw.hybrid_coalescing import (
     anchor_distance_for,
@@ -11,6 +13,7 @@ from repro.hw.hybrid_coalescing import (
 from repro.hw.rmm import RANGE_FILL, RANGE_HIT, UNCOVERED, RangeTlb, ranges_for_coverage
 from repro.hw.walk import WalkLatencyModel
 from repro.vm.mapping_runs import MappingRun
+from tests.hw.conformance import ctlb_state
 
 
 class TestRangeTlb:
@@ -120,3 +123,17 @@ class TestWalkModel:
         fast = WalkLatencyModel(pwc_hit_rate=0.9)
         slow = WalkLatencyModel(pwc_hit_rate=0.0)
         assert fast.cycles(24) < slow.cycles(24)
+
+
+class TestCoalescedTlbBatch:
+    def test_warm_entry_covers_runs_past_the_first_segment(self):
+        # A warm interval installed under an earlier run table can cover
+        # several runs of the next batch; it stays until the first miss.
+        ref = CoalescedTlb(64, 4, span_pages=16)
+        vec = CoalescedTlb(64, 4, span_pages=16)
+        warm = (np.array([0]), np.array([0]), np.array([16]))
+        batch = (np.array([1, 5]), np.array([0, 4]), np.array([4, 4]))
+        for stream in (warm, batch):
+            hits = [ref.on_miss(*e) for e in zip(*(a.tolist() for a in stream))]
+            assert vec.on_miss_batch(*stream) == (sum(hits), len(hits) - sum(hits))
+        assert ctlb_state(vec) == ctlb_state(ref)

@@ -1,6 +1,6 @@
 """Edge cases for the kernel's batched frame-span accounting helpers.
 
-The columnar engine charges and releases physical frames in spans
+The ``fast`` engine charges and releases physical frames in spans
 (`_account_frame_span` / `_put_frame_span` / `_free_aligned_span`).
 These must tolerate degenerate inputs — zero-page spans are produced
 naturally when a batched fault claims nothing or an uninstall yields an
@@ -11,7 +11,7 @@ from repro.sim.config import SystemConfig
 from repro.sim.machine import build_machine
 from tests.mm.buddy_state import machine_state
 
-TINY = SystemConfig(node_pages=(4 * 1024, 4 * 1024), churn_ops=0, engine="columnar")
+TINY = SystemConfig(node_pages=(4 * 1024, 4 * 1024), churn_ops=0, engine="fast")
 
 
 def fresh_kernel():

@@ -1,9 +1,11 @@
-"""Kernel ``fast``/``columnar`` vs ``scalar`` engine differential tests.
+"""Kernel ``fast`` vs ``scalar`` engine differential tests.
 
 The batched fault/promotion paths must be *observably identical* to the
 per-page reference: same fault counts and latencies, same mapping runs,
 same policy decisions, same free memory.  Anything less and the bench's
-speedup numbers compare different systems.
+speedup numbers compare different systems.  Policies without an
+``on_fault_batch`` hook (eager, ranger, ideal) cover the span path's
+per-leaf fallback.
 """
 
 from dataclasses import replace
@@ -12,13 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import OutOfMemoryError
+from repro.errors import ConfigError, OutOfMemoryError
 from repro.sim.config import PAPER_SCALE, TEST_SCALE, SystemConfig
+from repro.sim.kernel import Kernel
 from repro.sim.machine import build_machine
 from repro.vm.flags import DEFAULT_ANON
 from repro.workloads import make_workload
 
-ENGINES = ("scalar", "fast", "columnar")
+ENGINES = ("scalar", "fast")
+POLICIES = ["thp", "ingens", "ca", "eager", "ranger", "ideal"]
 
 
 def run_alloc_phase(policy: str, engine: str):
@@ -55,13 +59,12 @@ def digest(machine, kernel, process) -> dict:
     }
 
 
-@pytest.mark.parametrize("policy", ["thp", "ingens", "ca"])
+@pytest.mark.parametrize("policy", POLICIES)
 def test_alloc_phase_identical(policy):
     digests = {
         engine: digest(*run_alloc_phase(policy, engine)) for engine in ENGINES
     }
     assert digests["scalar"] == digests["fast"]
-    assert digests["scalar"] == digests["columnar"]
 
 
 def test_fork_identical():
@@ -78,7 +81,6 @@ def test_fork_identical():
             "free_pages": machine.mem.free_pages,
         }
     assert results["scalar"] == results["fast"]
-    assert results["scalar"] == results["columnar"]
 
 
 # -- property sweep: arbitrary touch patterns --------------------------------
@@ -108,12 +110,12 @@ touch_patterns = st.lists(
 
 
 @settings(max_examples=12, deadline=None)
-@given(policy=st.sampled_from(["thp", "ingens", "ca"]), pattern=touch_patterns)
+@given(policy=st.sampled_from(POLICIES), pattern=touch_patterns)
 def test_engines_identical_under_random_touches(policy, pattern):
     digests = [
         digest(*run_touch_pattern(policy, engine, pattern)) for engine in ENGINES
     ]
-    assert digests[0] == digests[1] == digests[2]
+    assert digests[0] == digests[1]
 
 
 # -- paper-scale OOM edge ----------------------------------------------------
@@ -154,5 +156,12 @@ def test_paper_scale_oom_edge_identical():
     # engine — the batched paths must not overrun or underrun the buddy.
     results = {engine: drive_to_oom(engine) for engine in ENGINES}
     assert results["scalar"] == results["fast"]
-    assert results["scalar"] == results["columnar"]
     assert results["scalar"]["steps"] > 0
+
+
+def test_retired_columnar_engine_rejected():
+    with pytest.raises(ConfigError):
+        SystemConfig(engine="columnar")
+    machine = build_machine("thp", SystemConfig(node_pages=(1024,), churn_ops=0))
+    with pytest.raises(ConfigError):
+        Kernel(machine.mem, machine.policy, engine="columnar")

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.errors import AddressSpaceError, MappingError
+from repro.sim import transport
 from repro.units import HUGE_ORDER, HUGE_PAGES
-from repro.vm.address_space import AddressSpace
+from repro.vm.address_space import DEFAULT_MMAP_BASE_VPN, AddressSpace
 from repro.vm.flags import DEFAULT_ANON, PteFlags, VmaFlags
 from repro.vm.page_cache import PageCache
 from repro.vm.vma import Vma
@@ -91,6 +92,33 @@ class TestInstall:
         vma = space.mmap(64, DEFAULT_ANON, at_vpn=0)
         with pytest.raises(MappingError):
             space.uninstall(vma, 5)
+
+
+class TestCheckpointLayout:
+    """Checkpoint digests cover the pickled layout, so it stays frozen:
+    the two retired column-mirror keys are still emitted, and dropped
+    again on load."""
+
+    def test_getstate_emits_the_frozen_layout(self):
+        state = AddressSpace().__getstate__()
+        assert list(state) == [
+            "page_table", "runs", "_vma_starts", "_vmas", "_mmap_cursor",
+            "columnar", "_columns",
+        ]
+        assert state["_vma_starts"] == [] and state["_vmas"] == {}
+        assert state["_mmap_cursor"] == DEFAULT_MMAP_BASE_VPN
+        assert state["columnar"] is False
+        assert state["_columns"] == {}
+
+    def test_round_trip_drops_the_legacy_keys(self):
+        space = AddressSpace()
+        vma = space.mmap(1024, DEFAULT_ANON, at_vpn=0)
+        space.install(vma, 0, 100, 0, PteFlags.NONE)
+        revived = transport.loads(transport.dumps(space))
+        assert not hasattr(revived, "columnar")
+        assert not hasattr(revived, "_columns")
+        assert revived.translate(0) == 100
+        assert revived.vma_at(0).mapped_pages == 1
 
 
 class TestHugeCandidate:
