@@ -213,15 +213,19 @@ class BuddyAllocator:
         Returns ``(head_pfn, order)`` or ``None`` when the frame is in
         use.  Exploits buddy alignment: the head of any free block
         containing ``pfn`` must sit at an order-aligned address at or
-        below it, so only ``max_order + 1`` candidates exist.
+        below it, so only ``max_order + 1`` candidates exist.  (The
+        loop reads the ``free_order`` column directly: it runs once per
+        targeted claim, which makes it the hot spot of CA readahead.)
         """
         if not self.contains(pfn):
             return None
+        free_order = self.frames.free_order
+        offset = self.frames.base_pfn
         for order in range(self.max_order + 1):
-            head = pfn & ~(order_pages(order) - 1)
-            if not self.contains(head):
+            head = pfn & -(1 << order)
+            if head < self.base_pfn:
                 break
-            if self.frames.head_order(head) == order:
+            if free_order[head - offset] == order:
                 return head, order
         return None
 

@@ -103,8 +103,17 @@ class PlacementPolicy:
         return self._default_alloc(ctx.order, ctx.preferred_node)
 
     def allocate_file(self, file: CachedFile, index: int, n_pages: int) -> list[int]:
-        """Place a page-cache readahead window; returns one PFN per page."""
-        return [self._default_alloc(0, 0)[0] for _ in range(n_pages)]
+        """Place a page-cache readahead window; returns one PFN per page.
+
+        One bulk buddy grab, which ends in the same state as ``n_pages``
+        :meth:`_default_alloc` calls at order 0.  When the machine runs
+        dry the rest goes page by page through :meth:`_default_alloc`,
+        which owns the OOM / reclaim path.
+        """
+        pfns = self._bulk_alloc_accounted(n_pages, 0).tolist()
+        while len(pfns) < n_pages:
+            pfns.append(self._default_alloc(0, 0)[0])
+        return pfns
 
     def on_fault_batch(self, ctx: FaultContext, vpns) -> "np.ndarray":
         """Batch-place order-0 faults for the ``fast`` span fault path.

@@ -25,6 +25,7 @@ from repro.mm.physmem import PhysicalMemory
 from repro.policies.base import FaultContext, PlacementPolicy
 from repro.units import HUGE_ORDER, HUGE_PAGES, order_pages
 from repro.vm.flags import DEFAULT_ANON, PteFlags, VmaFlags
+from repro.vm.mapping_runs import frame_stretches
 from repro.vm.page_cache import CachedFile, PageCache
 from repro.vm.process import Process
 from repro.vm.vma import Vma
@@ -646,11 +647,8 @@ class Kernel:
 
     def _file_allocate(self, file: CachedFile, index: int, n: int) -> list[int]:
         pfns = self.policy.allocate_file(file, index, n)
-        start = 0
-        for i in range(1, len(pfns) + 1):
-            if i == len(pfns) or pfns[i] != pfns[i - 1] + 1:
-                self._account_frame_span(pfns[start], i - start)
-                start = i
+        for i, k in frame_stretches(pfns):
+            self._account_frame_span(pfns[i], k)
         return pfns
 
     # -- migration (Ranger / Ingens service calls) -----------------------------------

@@ -27,6 +27,7 @@ from repro.sim.kernel import FaultResult, Kernel
 from repro.sim.machine import Machine
 from repro.units import order_pages
 from repro.vm.flags import DEFAULT_ANON
+from repro.vm.mapping_runs import frame_stretches
 from repro.vm.process import Process
 
 
@@ -256,16 +257,10 @@ class VirtualMachine:
     def guest_file_read(self, file, index: int) -> int:
         """Guest page-cache read + nested backing of the cached frames."""
         gpa = self.guest_kernel.file_read(file, index)
-        fill = self.guest_kernel.page_cache.last_fill
-        i = 0
-        while i < len(fill):
-            # Coalesce gPA-contiguous frames into one backing request.
-            _, frame = fill[i]
-            n = 1
-            while i + n < len(fill) and fill[i + n][1] == frame + n:
-                n += 1
-            self.ensure_backed(frame, n)
-            i += n
+        # One backing request per gPA-contiguous stretch of the new frames.
+        frames = [frame for _, frame in self.guest_kernel.page_cache.last_fill]
+        for i, n in frame_stretches(frames):
+            self.ensure_backed(frames[i], n)
         return gpa
 
     def guest_exit_process(self, process: Process) -> None:

@@ -131,6 +131,44 @@ class MappingRuns:
             vpn = cut_end
         return removed
 
+    # -- page-cache stretch updates ------------------------------------------
+    #
+    # ``generation`` is pickled into every checkpoint, so these advance it
+    # exactly as the page cache's old page-by-page loops did.
+
+    def add_stretch(self, vpn: int, pfn: int, n_pages: int) -> MappingRun:
+        """:meth:`add` of ``n_pages`` uncovered pages, counted as
+        ``n_pages`` single-page adds in VPN order.
+
+        Page by page, every page after the first merges with the run the
+        previous page just built: one ``_drop`` plus one ``_insert`` that
+        the single add does not make.  Merges with outside neighbours
+        (the predecessor for the first page, the successor for the last)
+        happen once either way, so the page loop costs exactly
+        ``2 * (n_pages - 1)`` more.  Delete that correction once
+        checkpoints stop pickling ``generation`` (ROADMAP, "Checkpoints
+        that hold only semantic state").
+        """
+        run = self.add(vpn, pfn, n_pages)
+        self.generation += 2 * (n_pages - 1)
+        return run
+
+    def remove_stretches(self, vpn: int, end: int) -> list[tuple[int, int, int]]:
+        """:meth:`remove_span` of ``[vpn, end)``, counted as single-page
+        removes in VPN order; returns the removed chunks.
+
+        Page by page, a ``k``-page chunk drops its run ``k`` times and
+        re-inserts the rest of the run after each of its first ``k - 1``
+        pages; the span remove drops it once.  Cutting off a left
+        remainder, or a right one past the chunk, happens once either
+        way, so the page loop costs exactly ``2 * (k - 1)`` more.
+        Delete that correction with the same ROADMAP item as
+        :meth:`add_stretch`.
+        """
+        removed = self.remove_span(vpn, end)
+        self.generation += 2 * sum(n - 1 for _, _, n in removed)
+        return removed
+
     def _insert(self, run: MappingRun) -> None:
         bisect.insort(self._starts, run.start_vpn)
         self._runs[run.start_vpn] = run
@@ -205,6 +243,23 @@ class MappingRuns:
             MappingRun(r.start_vpn, r.start_pfn, r.n_pages)
             for r in self
         ]
+
+
+def frame_stretches(pfns: list[int]) -> list[tuple[int, int]]:
+    """Maximal stretches of consecutive frames in ``pfns``.
+
+    Returns ``(i, n)`` pairs: ``pfns[i:i + n]`` is ``pfns[i]``,
+    ``pfns[i] + 1``, ... and no stretch extends into a neighbour.
+    """
+    stretches = []
+    start = 0
+    for i in range(1, len(pfns)):
+        if pfns[i] != pfns[i - 1] + 1:
+            stretches.append((start, i - start))
+            start = i
+    if pfns:
+        stretches.append((start, len(pfns) - start))
+    return stretches
 
 
 def compose(first: Iterable[MappingRun], second: MappingRuns) -> MappingRuns:

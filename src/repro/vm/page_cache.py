@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import AddressSpaceError
-from repro.vm.mapping_runs import MappingRuns
+from repro.vm.mapping_runs import MappingRuns, frame_stretches
 
 #: Pages brought in around a faulting index by default (Linux-like window).
 DEFAULT_READAHEAD_PAGES = 8
@@ -108,7 +108,9 @@ class PageCache:
         A miss triggers readahead: the window of
         ``readahead_pages`` starting at the faulting index (clamped to
         the file) is populated in one allocation request so the policy
-        can place it contiguously.
+        can place it contiguously, and recorded with one runs update per
+        stretch of consecutive frames (counted as per-page adds; see
+        :meth:`MappingRuns.add_stretch`).
         """
         if not 0 <= index < file.n_pages:
             raise AddressSpaceError(
@@ -130,40 +132,33 @@ class PageCache:
                 f"allocator returned {len(pfns)} frames for a {n}-page readahead"
             )
         self.readahead_count += max(0, n - 1)
-        self.last_fill = []
-        for i, frame in enumerate(pfns):
-            file.pages[index + i] = frame
-            self.runs[file.inode].add(index + i, frame, 1)
-            self.frame_owner[frame] = (file.inode, index + i)
-            self.last_fill.append((index + i, frame))
-        return file.pages[index]
+        inode = file.inode
+        indices = range(index, index + n)
+        file.pages.update(zip(indices, pfns))
+        self.frame_owner.update(
+            (frame, (inode, i)) for i, frame in zip(indices, pfns)
+        )
+        runs = self.runs[inode]
+        for i, k in frame_stretches(pfns):
+            runs.add_stretch(index + i, pfns[i], k)
+        self.last_fill = list(zip(indices, pfns))
+        return pfns[0]
 
     def drop(self, file: CachedFile, release) -> int:
         """Evict every page of ``file``; returns the number of pages released.
 
-        Frames go back through ``release(pfn, n)``, called once per
-        stretch of pages contiguous in both file index and frame, in
-        index order — so a CA-placed file is freed as a few frame spans,
-        not page by page.  The diagnostic :class:`MappingRuns` and the
-        ``frame_owner`` map are still updated one page at a time: the
-        runs' ``generation`` counter counts every structural change and
-        is part of the pickled state, so it must not depend on how the
-        frames were released.
+        The file's maximal mapping runs are exactly its stretches of
+        pages contiguous in both file index and frame, so each run is
+        removed with one span update and its frames go back through one
+        ``release(pfn, n)`` call, in index order: a CA-placed file is
+        freed as a few frame spans, not page by page.  The runs'
+        ``generation`` still advances as per-page removal would (see
+        :meth:`MappingRuns.remove_stretches`).
         """
-        runs = self.runs[file.inode]
-        # The open stretch: frames [start, end), file indices up to stop.
-        start = end = stop = 0
-        for index, pfn in sorted(file.pages.items()):
-            if index != stop or pfn != end:
-                if end > start:
-                    release(start, end - start)
-                start = end = pfn
-            end += 1
-            stop = index + 1
-            runs.remove(index, 1)
+        for _, pfn, n in self.runs[file.inode].remove_stretches(0, file.n_pages):
+            release(pfn, n)
+        for pfn in file.pages.values():
             self.frame_owner.pop(pfn, None)
-        if end > start:
-            release(start, end - start)
         count = len(file.pages)
         file.pages.clear()
         return count
