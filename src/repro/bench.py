@@ -35,12 +35,6 @@ warm, and once more with a fresh local L1 against the now-warm shared
 HTTP tier (every cell must arrive by digest over the wire) — with the
 serialized results asserted byte-identical across all four modes —
 writing ``BENCH_suite.json``.
-
-A fourth, ``python -m repro bench-serve``
-(:func:`repro.serve.loadgen.run_serve_bench`), load-tests the serving
-layer end to end — concurrent-client coalescing, warm-path latency
-percentiles and throughput — writing ``BENCH_serve.json`` through the
-same :func:`write_report` plumbing.
 """
 
 from __future__ import annotations
@@ -665,7 +659,7 @@ def run_suite_bench(
     import tempfile
 
     from repro.cli import EXPERIMENTS, SCALES
-    from repro.serve.loadgen import ServerThread
+    from repro.serve.server import ServerThread
     from repro.sim.cache import HttpCacheTier, RunCache
 
     scale = SCALES[scale_name]

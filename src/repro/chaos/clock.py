@@ -1,8 +1,8 @@
 """Injectable monotonic clock: real time by default, fakeable in tests.
 
-The serve layer's timeouts and the executor's retry backoff all read
-time through a :class:`Clock`, so tests (and the chaos suite) can
-substitute a :class:`FakeClock` and drive timeouts by *advancing* time
+The cache-tier server's read timeouts and the executor's retry
+backoff read time through a :class:`Clock`, so tests (and the chaos
+suite) can substitute a :class:`FakeClock` and drive timeouts by *advancing* time
 instead of sleeping — a read-timeout test completes in microseconds and
 never flakes on a slow CI machine.
 

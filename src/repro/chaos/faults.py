@@ -24,7 +24,7 @@ Sites (see ``docs/robustness.md`` for the recovery contract of each):
 ``pool.worker`` one worker "crashes" before delivering its cell —
                 bounded retry with exponential backoff
 ``serve.accept`` the server drops the connection before reading —
-                clients retry
+                the tier client reads a miss (or a failed PUT)
 ``serve.body``  the request body "stalls" — the server answers 408
                 instead of hanging
 ``clock``       the backoff clock "jumps" past its deadline — the
@@ -151,7 +151,7 @@ class FaultInjector:
     """Evaluates a :class:`FaultPlan` and keeps the fault trace.
 
     One injector is shared by every instrumented layer of a run (cache,
-    executor, scheduler, server), so the trace is the single source of
+    executor, server), so the trace is the single source of
     truth for "what failed and how it was handled".
     """
 

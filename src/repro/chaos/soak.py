@@ -24,19 +24,19 @@ guarantee:
 - **reproducibility**: chaos A and chaos B produce the same canonical
   fault trace — same seed ⇒ same faults ⇒ same recoveries.
 
-With ``serve=True`` it additionally boots the HTTP server with
-``serve.accept``/``serve.body`` faults active and checks that a
-retrying client still obtains byte-identical, clean-matching bodies —
-for plain runs *and* for ``POST /v1/sweep``: a mid-sweep worker crash
-or cache fault must still yield the byte-identical frontier a clean
-local sweep of the same grid produces.
+With ``serve=True`` it then serves the warm soak cache as the shared
+tier (``repro serve``) with ``serve.accept``/``serve.body`` faults
+active, and runs the grid once more from a fresh local cache that
+reads through that tier (:class:`~repro.sim.cache.HttpCacheTier`).  A
+dropped connection reads as a tier miss and a stalled PUT answers 408,
+so the worker computes or keeps the cell locally: the grid must still
+match the clean pass byte for byte.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
-import threading
+import tempfile
 import time
 from pathlib import Path
 from typing import Sequence
@@ -50,14 +50,6 @@ QUICK_EXPERIMENTS = ("fig9", "table1")
 #: Default (non-quick) soak grid.
 DEFAULT_EXPERIMENTS = ("fig1", "fig7", "fig9", "table1")
 
-#: Sweep posted during the serve phase (small but multi-cell: 8 grid
-#: points over 2 shared native+sim cell pairs).
-SOAK_SWEEP_SPEC = {
-    "policies": ["thp", "ca"],
-    "workloads": ["svm"],
-    "trace_len": 10_000,
-}
-
 
 def _canonical_trace(injector: FaultInjector) -> list[tuple]:
     """Order-independent trace signature for cross-run comparison."""
@@ -67,8 +59,8 @@ def _canonical_trace(injector: FaultInjector) -> list[tuple]:
 
 
 def _run_grid(experiments: Sequence[str], scale_name: str, jobs: int,
-              cache_dir: Path, injector: FaultInjector | None
-              ) -> tuple[bytes, dict]:
+              cache_dir: Path, injector: FaultInjector | None,
+              tier=None) -> tuple[bytes, dict]:
     """One grid pass; returns (canonical result bytes, stats dict)."""
     import dataclasses
 
@@ -77,7 +69,7 @@ def _run_grid(experiments: Sequence[str], scale_name: str, jobs: int,
     from repro.sim.cache import RunCache
     from repro.sim.jobs import Executor, run_plans
 
-    cache = RunCache(cache_dir, injector=injector)
+    cache = RunCache(cache_dir, injector=injector, tier=tier)
     executor = Executor(jobs=jobs, cache=cache, injector=injector,
                         max_attempts=6, backoff_base=0.01)
     entries = suite_plans(SCALES[scale_name], list(experiments))
@@ -94,86 +86,29 @@ def _run_grid(experiments: Sequence[str], scale_name: str, jobs: int,
         "corrupt_evictions": cache.corrupt_evictions,
         "write_failures": cache.write_failures,
     }
+    if tier is not None:
+        stats["tier"] = {
+            "hits": cache.tier_hits, "misses": cache.tier_misses,
+            "stores": cache.tier_stores, "errors": cache.tier_errors,
+        }
     return body, stats
 
 
-def _clean_sweep(scale_name: str, jobs: int, cache_dir: Path) -> bytes:
-    """The fault-free canonical bytes of the soak sweep grid."""
-    from repro.sim.cache import RunCache
-    from repro.sim.jobs import Executor
-    from repro.sweep.grid import SweepSpec
-    from repro.sweep.runner import run_sweep
+def _serve_phase(experiments: Sequence[str], scale_name: str, jobs: int,
+                 cache_dir: Path, injector: FaultInjector,
+                 clean_bytes: bytes) -> dict:
+    """Serve ``cache_dir`` as the shared tier under serve faults and run
+    the grid through it from a fresh local cache."""
+    from repro.serve.server import ServerThread
+    from repro.sim.cache import HttpCacheTier, RunCache
 
-    spec = SweepSpec.from_request(dict(SOAK_SWEEP_SPEC, scale=scale_name))
-    executor = Executor(jobs=jobs, cache=RunCache(cache_dir))
-    try:
-        outcome, _stats, _run = run_sweep(spec, executor)
-    finally:
-        executor.close()
-    return json.dumps(outcome, sort_keys=True,
-                      separators=(",", ":")).encode()
-
-
-def _serve_phase(experiment: str, scale_name: str, cache_dir: Path,
-                 injector: FaultInjector, attempts: int = 8) -> dict:
-    """Boot the HTTP server under serve faults; drive it with a
-    retrying client; report whether service stayed correct."""
-    from repro.serve.client import ServeClient, ServeError
-    from repro.serve.server import ReproServer
-    from repro.sim.cache import RunCache
-
-    loop = asyncio.new_event_loop()
-    server = ReproServer(
-        port=0, workers=1,
-        cache=RunCache(cache_dir, injector=injector),
-        injector=injector,
-    )
-    ready = threading.Event()
-
-    def _serve() -> None:
-        asyncio.set_event_loop(loop)
-        loop.run_until_complete(server.start())
-        ready.set()
-        loop.run_forever()
-
-    thread = threading.Thread(target=_serve, name="chaos-soak-serve",
-                              daemon=True)
-    thread.start()
-    if not ready.wait(timeout=30):  # pragma: no cover - startup hang
-        raise RuntimeError("chaos-soak server failed to start")
-    out: dict = {"experiment": experiment, "attempts_budget": attempts}
-    try:
-        client = ServeClient(port=server.port, timeout=120)
-        responses = []
-        for _ in range(2):
-            responses.append(client.run_with_retries(
-                experiment, scale=scale_name, attempts=attempts
-            ))
-        out["statuses"] = [r.status for r in responses]
-        out["bodies_identical"] = responses[0].body == responses[1].body
-        out["body"] = responses[0].body
-        # Sweep endpoint under the same faults: a mid-sweep worker
-        # crash or cache fault must not change a byte of the frontier.
-        sweep_spec = dict(SOAK_SWEEP_SPEC, scale=scale_name)
-        sweeps = [
-            client.sweep_with_retries(sweep_spec, attempts=attempts)
-            for _ in range(2)
-        ]
-        out["sweep_statuses"] = [r.status for r in sweeps]
-        out["sweep_bodies_identical"] = sweeps[0].body == sweeps[1].body
-        out["sweep_body"] = sweeps[0].body
-        out["ok"] = (all(r.status == 200 for r in responses + sweeps)
-                     and out["bodies_identical"]
-                     and out["sweep_bodies_identical"])
-    except ServeError as exc:
-        out["ok"] = False
-        out["error"] = str(exc)
-    finally:
-        asyncio.run_coroutine_threadsafe(server.stop(), loop).result(30)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=30)
-        loop.close()
-    return out
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-l1-") as l1, \
+            ServerThread(cache=RunCache(cache_dir),
+                         injector=injector) as server:
+        tier = HttpCacheTier(f"http://127.0.0.1:{server.port}")
+        body, stats = _run_grid(experiments, scale_name, jobs, Path(l1),
+                                injector=None, tier=tier)
+    return {"identical_grid": body == clean_bytes, "stats": stats}
 
 
 def run_soak(scale: str = "quick",
@@ -183,8 +118,6 @@ def run_soak(scale: str = "quick",
              quick: bool = False) -> dict:
     """Run the full soak; returns a JSON-ready report (``report["ok"]``
     is the pass/fail verdict the CLI turns into an exit code)."""
-    import tempfile
-
     started = time.time()
     if experiments is None:
         experiments = QUICK_EXPERIMENTS if quick else DEFAULT_EXPERIMENTS
@@ -243,31 +176,12 @@ def run_soak(scale: str = "quick",
         serve_report: dict = {"enabled": bool(serve)}
         injector_serve = None
         if serve:
-            # Clean reference frontier: the same sweep, no faults, run
-            # locally against the shared soak cache.
-            clean_sweep_bytes = _clean_sweep(scale, jobs, grid_dir)
             injector_serve = FaultInjector(FaultPlan.parse(plan_spec,
                                                            seed=seed))
             serve_report.update(_serve_phase(
-                experiments[0], scale, grid_dir, injector_serve
+                experiments, scale, jobs, grid_dir, injector_serve,
+                clean_bytes,
             ))
-            body = serve_report.pop("body", None)
-            if body is not None:
-                clean_payload = json.loads(clean_bytes.decode())
-                served = json.loads(body.decode()).get("results", {})
-                serve_report["results_match_clean"] = bool(served) and all(
-                    clean_payload.get(key) == value
-                    for key, value in served.items()
-                )
-                serve_report["ok"] = (serve_report["ok"]
-                                      and serve_report["results_match_clean"])
-            sweep_body = serve_report.pop("sweep_body", None)
-            if sweep_body is not None:
-                serve_report["sweep_matches_clean"] = (
-                    sweep_body == clean_sweep_bytes
-                )
-                serve_report["ok"] = (serve_report["ok"]
-                                      and serve_report["sweep_matches_clean"])
         report["serve"] = serve_report
 
         injectors = {"grid_a": injector_a, "grid_b": injector_b}
@@ -292,7 +206,7 @@ def run_soak(scale: str = "quick",
             report["identical_grid"]
             and report["trace_deterministic"]
             and not unrecovered
-            and (not serve or serve_report.get("ok", False))
+            and (not serve or serve_report["identical_grid"])
         )
     report["wall_seconds"] = round(time.time() - started, 3)
     return report

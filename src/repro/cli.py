@@ -8,11 +8,9 @@ Usage::
     python -m repro suite --scale quick --jobs 8
     python -m repro bench --scale default --out BENCH_engine.json
     python -m repro bench-suite --scale quick --out BENCH_suite.json
-    python -m repro serve --port 8377 --workers 2
-    python -m repro submit fig11 --scale quick
-    python -m repro bench-serve --clients 8 --out BENCH_serve.json
+    python -m repro serve --port 8377 --cache-dir /srv/repro-cache
+    python -m repro suite --cache-url http://127.0.0.1:8377
     python -m repro sweep --policies thp,ca --workloads svm,pagerank
-    python -m repro sweep --submit --stream --port 8377
     python -m repro cache stats
     python -m repro cache prune --max-bytes 500M
     python -m repro run fig9 --chaos-plan 0.2 --chaos-seed 7
@@ -369,117 +367,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_submit(args) -> int:
-    import json as _json
-
-    from repro.serve.client import ServeClient, ServeError
-
-    params = None
-    if args.params:
-        try:
-            params = _json.loads(args.params)
-        except _json.JSONDecodeError as exc:
-            print(f"--params is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-    client = ServeClient(host=args.host, port=args.port)
-    try:
-        if args.stream:
-            payload = None
-            for event in client.iter_stream(
-                args.experiment, scale=args.scale, params=params
-            ):
-                if event.get("event") == "result":
-                    payload = event["data"]
-                else:
-                    print(_json.dumps(event, sort_keys=True))
-            if payload is None:
-                print("stream ended without a result", file=sys.stderr)
-                return 1
-        else:
-            resp = client.run(args.experiment, scale=args.scale, params=params)
-            if resp.status == 503:
-                retry = resp.headers.get("retry-after", "?")
-                print(f"server busy (503); retry after {retry}s",
-                      file=sys.stderr)
-                return 1
-            if not resp.ok:
-                print(f"HTTP {resp.status}: {resp.body.decode(errors='replace')}",
-                      file=sys.stderr)
-                return 1
-            payload = resp.json
-            print(f"[job coalesced={int(resp.coalesced)} "
-                  f"elapsed={resp.elapsed_ms:.1f}ms "
-                  f"computed={resp.cells_computed} "
-                  f"cached={resp.cells_cached}]", file=sys.stderr)
-    except (ServeError, ConnectionError, OSError) as exc:
-        print(f"cannot reach server at {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 1
-    for key, report in payload["reports"].items():
-        if key != args.experiment:
-            print(f"[{key}]")
-        print(report)
-    if args.json:
-        from pathlib import Path
-
-        out = Path(args.json)
-        out.write_text(_json.dumps(payload, indent=2, sort_keys=True))
-        print(f"[saved {out}]", file=sys.stderr)
-    return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    from repro.bench import write_report
-    from repro.serve.loadgen import run_serve_bench
-
-    print(f"=== bench-serve: cold coalescing + warm latency "
-          f"(scale={args.scale}, experiment={args.experiment}, "
-          f"clients={args.clients}) ===")
-    report = run_serve_bench(
-        args.scale, experiment=args.experiment, clients=args.clients,
-        warm_rounds=args.warm_rounds, cache_root=args.cache_dir,
-        workers=args.workers,
-    )
-    cold, warm = report["cold"], report["warm"]
-    print(f" cold: p50 {cold['p50_ms']:.0f}ms over {cold['requests']} "
-          f"clients — {cold['executor_jobs']:.0f} executor job(s), "
-          f"{cold['coalesced_joins']:.0f} coalesced join(s), "
-          f"{cold['unique_bodies']} unique body(ies)")
-    print(f" warm: p50 {warm['p50_ms']:.1f}ms p95 {warm['p95_ms']:.1f}ms "
-          f"p99 {warm['p99_ms']:.1f}ms — {warm['throughput_rps']} req/s "
-          f"over {warm['requests']} requests")
-    sweep = report["sweep"]
-    print(f" sweep: stream p50 {sweep['p50_ms']:.0f}ms "
-          f"p95 {sweep['p95_ms']:.0f}ms over {sweep['requests']} "
-          f"overlapping grids — {sweep['points_total']} points, "
-          f"{sweep['cells_computed']:.0f} computed of "
-          f"{sweep['cell_refs']} cell refs "
-          f"(dedup ratio {sweep['dedup_ratio']})")
-    tier = report.get("tier") or {}
-    if tier.get("bytes_on_wire"):
-        print(f" tier: {tier['bytes_on_wire']:,}B rpt1 on "
-              f"the wire vs {tier['raw_equivalent_bytes']:,}B raw "
-              f"({tier['wire_reduction']}x)")
-    print(f" coalescing_ok={report['coalescing_ok']} "
-          f"bodies_identical={report['bodies_identical']} "
-          f"sweep_ok={report['sweep_ok']} "
-          f"failed={report['failed_requests']} "
-          f"warm_over_cold={report['warm_over_cold']}x")
-    out = write_report(report, args.out)
-    print(f"[saved {out} in {report['wall_seconds']}s]")
-    ok = (report["failed_requests"] == 0 and report["coalescing_ok"]
-          and report["bodies_identical"] and report["sweep_ok"])
-    if args.min_warm_speedup and report["warm_over_cold"] < args.min_warm_speedup:
-        print(f"warm-over-cold {report['warm_over_cold']}x below gate "
-              f"{args.min_warm_speedup}x", file=sys.stderr)
-        ok = False
-    if args.max_warm_p50_ms and report["warm_p50_ms"] > args.max_warm_p50_ms:
-        print(f"warm p50 {report['warm_p50_ms']}ms above gate "
-              f"{args.max_warm_p50_ms}ms", file=sys.stderr)
-        ok = False
-    return 0 if ok else 1
-
-
 def _cmd_chaos_soak(args) -> int:
     from repro.chaos.soak import run_soak, write_trace
 
@@ -508,30 +395,20 @@ def _cmd_chaos_soak(args) -> int:
               f"unrecovered={sum(len(v) for v in report['unrecovered'].values())}")
         serve = report["serve"]
         if serve.get("enabled"):
-            print(f" serve: statuses={serve.get('statuses')} "
-                  f"bodies_identical={serve.get('bodies_identical')} "
-                  f"results_match_clean={serve.get('results_match_clean')}")
-            print(f" sweep: statuses={serve.get('sweep_statuses')} "
-                  f"bodies_identical={serve.get('sweep_bodies_identical')} "
-                  f"matches_clean={serve.get('sweep_matches_clean')}")
+            tier = serve["stats"]["tier"]
+            print(f" serve: grid through the tier matches clean: "
+                  f"{serve['identical_grid']}; tier {tier['hits']}h/"
+                  f"{tier['misses']}m/{tier['stores']}s/{tier['errors']}e; "
+                  f"faults {report['faults_fired'].get('serve', {})}")
     print(f"[saved {out} in {report['wall_seconds']}s]")
     print(f"chaos-soak: {'OK' if report['ok'] else 'FAILED'}")
     return 0 if report["ok"] else 1
 
 
-def _make_cache(args):
-    from repro.sim.cache import HttpCacheTier, RunCache
-
-    tier = None
-    cache_url = getattr(args, "cache_url", None)
-    if cache_url:
-        tier = HttpCacheTier(cache_url)
-    return RunCache(getattr(args, "cache_dir", None), tier=tier)
-
-
 def _cmd_cache_stats(args) -> int:
-    cache = _make_cache(args)
-    stats = cache.stats()
+    from repro.sim.cache import RunCache
+
+    stats = RunCache(args.cache_dir).stats()
     print(f"cache root:  {stats['root']}")
     print(f"entries:     {stats['entries']}")
     print(f"total bytes: {stats['total_bytes']:,}")
@@ -546,16 +423,6 @@ def _cmd_cache_stats(args) -> int:
     if stats["entries"]:
         age = time.time() - stats["oldest_mtime"]
         print(f"oldest entry age: {age / 3600:.1f}h")
-    # Federation counters were collected by stats() all along but never
-    # printed, so tier traffic was invisible from the CLI.
-    if cache.tier is not None or any(
-        stats[k] for k in ("tier_hits", "tier_misses",
-                           "tier_stores", "tier_errors")
-    ):
-        print(f"tier hits:       {stats['tier_hits']}")
-        print(f"tier misses:     {stats['tier_misses']}")
-        print(f"tier promotions: {stats['tier_stores']}")
-        print(f"tier errors:     {stats['tier_errors']}")
     return 0
 
 
@@ -611,65 +478,23 @@ def _cmd_sweep(args) -> int:
     import json as _json
 
     from repro.sweep.grid import SweepSpec, SweepValidationError
+    from repro.sweep.runner import run_sweep
 
-    request = _sweep_spec_from_args(args)
     try:
-        spec = SweepSpec.from_request(request)
+        spec = SweepSpec.from_request(_sweep_spec_from_args(args))
     except SweepValidationError as exc:
         print(f"bad sweep: {exc}", file=sys.stderr)
         return 2
-
-    if args.submit:
-        from repro.serve.client import ServeClient, ServeError
-
-        client = ServeClient(host=args.host, port=args.port)
-        try:
-            if args.stream:
-                data = None
-                computed = 0
-                for event in client.iter_sweep_stream(request):
-                    if event.get("event") == "result":
-                        data = event["data"]
-                    else:
-                        if event.get("event") == "finished":
-                            computed = event.get("computed", 0)
-                        print(_json.dumps(event, sort_keys=True))
-                if data is None:
-                    print("stream ended without a result", file=sys.stderr)
-                    return 1
-            else:
-                resp = client.sweep(request)
-                if not resp.ok:
-                    print(f"HTTP {resp.status}: "
-                          f"{resp.body.decode(errors='replace')}",
-                          file=sys.stderr)
-                    return 1
-                data = resp.json
-                computed = resp.cells_computed
-                print(f"[sweep {resp.sweep_id} "
-                      f"coalesced={int(resp.coalesced)} "
-                      f"elapsed={resp.elapsed_ms:.1f}ms "
-                      f"computed={computed} cached={resp.cells_cached}]",
-                      file=sys.stderr)
-        except (ServeError, ConnectionError, OSError) as exc:
-            print(f"cannot reach server at {args.host}:{args.port}: {exc}",
-                  file=sys.stderr)
-            return 1
-    else:
-        from repro.sweep.runner import run_sweep
-
-        injector = make_injector(args)
-        executor = make_executor(args, injector=injector)
-        try:
-            data, stats, _run = run_sweep(spec, executor)
-        finally:
-            executor.close()
-        computed = stats.computed
-        print(f"[{stats.seconds:.1f}s: {computed} computed, "
-              f"{stats.cache_hits} cached, {stats.deduped} deduped "
-              f"of {stats.submitted} cell(s); jobs={executor.jobs}]",
-              file=sys.stderr)
-
+    injector = make_injector(args)
+    executor = make_executor(args, injector=injector)
+    try:
+        data, stats = run_sweep(spec, executor)
+    finally:
+        executor.close()
+    print(f"[{stats.seconds:.1f}s: {stats.computed} computed, "
+          f"{stats.cache_hits} cached, {stats.deduped} deduped "
+          f"of {stats.submitted} cell(s); jobs={executor.jobs}]",
+          file=sys.stderr)
     _print_sweep_outcome(data)
     if args.json:
         from pathlib import Path
@@ -677,11 +502,13 @@ def _cmd_sweep(args) -> int:
         out = Path(args.json)
         out.write_text(_json.dumps(data, indent=2, sort_keys=True))
         print(f"[saved {out}]", file=sys.stderr)
-    return _sweep_gates(args, data["frontier_size"], computed)
+    return _sweep_gates(args, data["frontier_size"], stats.computed)
 
 
 def _cmd_cache_prune(args) -> int:
-    summary = _make_cache(args).prune(args.max_bytes)
+    from repro.sim.cache import RunCache
+
+    summary = RunCache(args.cache_dir).prune(args.max_bytes)
     print(f"removed {summary['removed']} entry(ies), "
           f"freed {summary['freed_bytes']:,} bytes; "
           f"{summary['remaining_entries']} entry(ies) "
@@ -831,43 +658,17 @@ def build_parser() -> argparse.ArgumentParser:
     suite_bench_p.set_defaults(func=_cmd_bench_suite)
 
     serve_p = sub.add_parser(
-        "serve", help="start the long-lived simulation service"
+        "serve", help="serve a run cache as the shared tier other "
+                      "runs reach with --cache-url"
     )
     serve_p.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1)")
     serve_p.add_argument("--port", type=int, default=8377,
                          help="bind port; 0 picks one (default: 8377)")
     serve_p.add_argument(
-        "--queue-depth", type=int, default=16, metavar="N",
-        help="max jobs waiting to start before 503s (default: 16)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="concurrent jobs (default: 2)",
-    )
-    serve_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per job's cell fan-out (default: 1, "
-             "inline in the worker thread)",
-    )
-    serve_p.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="SECONDS",
-        help="Retry-After hint on 503 responses (default: 1)",
-    )
-    serve_p.add_argument(
         "--cache-dir", metavar="DIR", default=None,
-        help="run cache location (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    serve_p.add_argument(
-        "--no-cache", action="store_true",
-        help="recompute every request, skip the run cache (also "
-             "disables the /v1/cache tier endpoints)",
-    )
-    serve_p.add_argument(
-        "--cache-url", metavar="URL", default=None,
-        help="upstream cache tier this server itself reads through "
-             "(for chained tiers); usually unset — workers point their "
-             "--cache-url at *this* server instead",
+        help="the run cache this tier serves (default: $REPRO_CACHE_DIR "
+             "or .repro-cache)",
     )
     add_chaos_flags(serve_p)
     serve_p.set_defaults(func=_cmd_serve)
@@ -911,75 +712,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak_p.set_defaults(func=_cmd_chaos_soak)
 
-    submit_p = sub.add_parser(
-        "submit", help="submit one experiment to a running server"
-    )
-    submit_p.add_argument("experiment", help="experiment name (see `list`)")
-    submit_p.add_argument("--scale", choices=sorted(SCALES), default="quick",
-                          help="scale profile (default: quick)")
-    submit_p.add_argument("--host", default="127.0.0.1")
-    submit_p.add_argument("--port", type=int, default=8377)
-    submit_p.add_argument(
-        "--params", metavar="JSON", default=None,
-        help='plan() overrides, e.g. \'{"policies": ["thp", "ca"]}\'',
-    )
-    submit_p.add_argument(
-        "--stream", action="store_true",
-        help="stream NDJSON progress events instead of waiting silently",
-    )
-    submit_p.add_argument(
-        "--json", metavar="FILE", default=None,
-        help="also save the full result payload as JSON",
-    )
-    submit_p.set_defaults(func=_cmd_submit)
-
-    serve_bench_p = sub.add_parser(
-        "bench-serve",
-        help="load-test the serve layer: cold coalescing + warm latency",
-    )
-    serve_bench_p.add_argument(
-        "--scale", choices=sorted(SCALES), default="quick",
-        help="scale profile (default: quick)",
-    )
-    serve_bench_p.add_argument(
-        "--experiment", default="fig11",
-        help="experiment each client requests (default: fig11)",
-    )
-    serve_bench_p.add_argument(
-        "--clients", type=int, default=8, metavar="N",
-        help="concurrent clients (default: 8)",
-    )
-    serve_bench_p.add_argument(
-        "--warm-rounds", type=int, default=5, metavar="N",
-        help="warm requests per client (default: 5)",
-    )
-    serve_bench_p.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="server worker count (default: 2)",
-    )
-    serve_bench_p.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="scratch cache directory — cleared before the cold phase "
-             "(default: a private temp dir)",
-    )
-    serve_bench_p.add_argument(
-        "--out", default="BENCH_serve.json", metavar="FILE",
-        help="JSON report path (default: BENCH_serve.json)",
-    )
-    serve_bench_p.add_argument(
-        "--min-warm-speedup", type=float, default=0.0, metavar="X",
-        help="fail unless warm p50 beats cold p50 by at least X times",
-    )
-    serve_bench_p.add_argument(
-        "--max-warm-p50-ms", type=float, default=0.0, metavar="MS",
-        help="fail if warm p50 latency exceeds MS milliseconds",
-    )
-    serve_bench_p.set_defaults(func=_cmd_bench_serve)
-
     sweep_p = sub.add_parser(
         "sweep",
         help="expand a policy x scheme x workload grid and report its "
-             "Pareto frontier (locally or via a running server)",
+             "Pareto frontier",
     )
     sweep_p.add_argument(
         "--policies", default="thp,ca", metavar="LIST",
@@ -1016,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_p.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for local cell fan-out (default: 1)",
+        help="worker processes for cell fan-out (default: 1)",
     )
     sweep_p.add_argument(
         "--cache-dir", metavar="DIR", default=None,
@@ -1030,19 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--cache-url", metavar="URL", default=None,
         help="shared read-through cache tier (a `repro serve` base URL)",
-    )
-    sweep_p.add_argument(
-        "--submit", action="store_true",
-        help="POST the sweep to a running server instead of running "
-             "locally",
-    )
-    sweep_p.add_argument("--host", default="127.0.0.1",
-                         help="server address for --submit")
-    sweep_p.add_argument("--port", type=int, default=8377,
-                         help="server port for --submit")
-    sweep_p.add_argument(
-        "--stream", action="store_true",
-        help="with --submit: stream per-cell NDJSON events",
     )
     sweep_p.add_argument(
         "--json", metavar="FILE", default=None,
@@ -1069,10 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_p.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="cache location (default: $REPRO_CACHE_DIR or .repro-cache)",
-    )
-    stats_p.add_argument(
-        "--cache-url", metavar="URL", default=None,
-        help="shared cache tier whose session counters to surface",
     )
     stats_p.set_defaults(func=_cmd_cache_stats)
     prune_p = cache_sub.add_parser(

@@ -2,9 +2,9 @@
 
 The bench harness (``python -m repro bench``) wraps each phase in a
 :class:`Timer` / :class:`Profiler` section and derives throughput rates
-from the recorded seconds and event counts; the serving layer
-(:mod:`repro.serve`) reuses the same primitives plus the fixed-bucket
-:class:`Histogram` for request-latency percentiles.  Kept
+from the recorded seconds and event counts; the cache-tier server
+(:mod:`repro.serve`) exports its request latency through the
+fixed-bucket :class:`Histogram`.  Kept
 dependency-free and cheap enough to leave enabled in experiment code.
 """
 
@@ -63,7 +63,7 @@ class Profiler:
         """Events per second for a section.
 
         A section can legitimately record zero (or sub-tick) seconds —
-        warm-cache serve paths finish inside one ``perf_counter`` tick —
+        warm-cache paths finish inside one ``perf_counter`` tick —
         and a section counted via :meth:`count` may never be timed at
         all.  Both report ``0.0`` rather than dividing by zero; the
         result is always finite.
@@ -94,8 +94,8 @@ class Profiler:
 
 
 #: Default latency buckets (seconds): 1 ms .. 10 s, roughly log-spaced.
-#: The serving layer's warm path sits in the first few buckets; cold
-#: simulation runs land in the tail.
+#: Cache-tier GETs sit in the first few buckets; multi-megabyte
+#: checkpoint PUTs land further out.
 DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
@@ -162,23 +162,6 @@ class Histogram:
     def mean(self) -> float:
         """Average observation (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one.
-
-        The serve layer aggregates per-job executor histograms into the
-        registry-held ones this way.  Bounds must match exactly — a
-        merge across different bucket layouts would silently misbin.
-        """
-        if other.bounds != self.bounds:
-            raise ValueError(
-                f"cannot merge histograms with different buckets: "
-                f"{self.bounds} vs {other.bounds}"
-            )
-        for i, n in enumerate(other.counts):
-            self.counts[i] += n
-        self.total += other.total
-        self.count += other.count
 
     def as_dict(self) -> dict:
         """JSON-ready summary with common latency percentiles."""

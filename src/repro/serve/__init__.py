@@ -1,24 +1,12 @@
-"""`repro.serve`: a long-lived asyncio simulation service.
+"""`repro.serve`: the shared run-cache tier over HTTP.
 
-The serving layer turns the experiment registry into a JSON-over-HTTP
-API backed by the run-cell orchestrator: a bounded job queue with
-admission control (:mod:`repro.serve.scheduler`), in-flight request
-coalescing keyed on the cells' content address, NDJSON progress
-streaming, and a Prometheus-style ``/metrics`` endpoint
-(:mod:`repro.serve.metrics`).  ``python -m repro serve`` starts it;
-:mod:`repro.serve.client` talks to it; :mod:`repro.serve.loadgen`
-load-tests it (``python -m repro bench-serve``).
+``python -m repro serve`` exposes a :class:`~repro.sim.cache.RunCache`
+at ``/v1/cache/<key>`` (:mod:`repro.serve.server`), with ``/healthz``
+and a Prometheus-style ``/metrics`` page (:mod:`repro.serve.metrics`).
+Workers federate through it with ``--cache-url``
+(:class:`~repro.sim.cache.HttpCacheTier`).
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.scheduler import Job, QueueFull, Scheduler
-from repro.serve.server import ReproServer
+from repro.serve.server import ReproServer, ServerThread
 
-__all__ = [
-    "Job",
-    "QueueFull",
-    "ReproServer",
-    "Scheduler",
-    "ServeClient",
-    "ServeError",
-]
+__all__ = ["ReproServer", "ServerThread"]

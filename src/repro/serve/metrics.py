@@ -1,14 +1,14 @@
-"""Prometheus-style metrics registry for the serving layer.
+"""Prometheus-style metrics registry for the cache-tier server.
 
 Text exposition only (the ``0.0.4`` format every Prometheus scraper
-speaks), stdlib only, and deliberately tiny: counters, gauges (value-
-or callable-backed), and a histogram wrapping
+speaks), stdlib only, and deliberately tiny: counters (value- or
+callable-backed) and a histogram wrapping
 :class:`repro.metrics.profiling.Histogram`.  Metrics support at most
 one label — enough for ``{endpoint=...}`` / ``{code=...}`` breakdowns
 without growing a label-set engine.
 
 All mutation happens on the server's single event-loop thread, so no
-locking is needed; the load generator and tests read via ``/metrics``.
+locking is needed; clients and tests read via ``/metrics``.
 """
 
 from __future__ import annotations
@@ -103,27 +103,6 @@ class FuncCounter(Metric):
         return [("", lv, float(v)) for lv, v in sorted(values.items())]
 
 
-class Gauge(Metric):
-    """Point-in-time value: set explicitly or computed at scrape time."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str,
-                 fn: Callable[[], float] | None = None):
-        super().__init__(name, help)
-        self.fn = fn
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def get(self) -> float:
-        return float(self.fn()) if self.fn is not None else self.value
-
-    def samples(self) -> list[tuple[str, str, float]]:
-        return [("", "", self.get())]
-
-
 class HistogramMetric(Metric):
     """Cumulative-bucket histogram in Prometheus exposition shape."""
 
@@ -136,9 +115,6 @@ class HistogramMetric(Metric):
 
     def observe(self, value: float) -> None:
         self.hist.observe(value)
-
-    def quantile(self, q: float) -> float:
-        return self.hist.quantile(q)
 
     def samples(self) -> list[tuple[str, str, float]]:
         raise NotImplementedError  # histogram renders its own rows
@@ -169,10 +145,6 @@ class Registry:
 
     def counter(self, name: str, help: str, label: str = "") -> Counter:
         return self.add(Counter(name, help, label))
-
-    def gauge(self, name: str, help: str,
-              fn: Callable[[], float] | None = None) -> Gauge:
-        return self.add(Gauge(name, help, fn))
 
     def func_counter(self, name: str, help: str, label: str,
                      fn: Callable[[], dict[str, float]]) -> FuncCounter:

@@ -1,72 +1,48 @@
-"""Stdlib asyncio HTTP/1.1 server exposing the experiment registry.
+"""Stdlib asyncio HTTP/1.1 server for the shared run-cache tier.
 
 Endpoints::
 
-    GET  /healthz            liveness + queue snapshot
-    GET  /v1/experiments     experiment registry with descriptions
+    GET  /healthz            liveness + uptime
     GET  /metrics            Prometheus text exposition
-    POST /v1/run             {"experiment", "scale", "params"} -> result
-    POST /v1/run?stream=1    NDJSON progress events, result last
-    GET  /v1/cache/<key>     shared-tier blob fetch (octet-stream | 404)
-    PUT  /v1/cache/<key>     shared-tier blob publish (201 stored |
-                             200 already present: first writer wins)
-    POST /v1/sweep           {"policies", "schemes", "workloads", ...}
-                             -> grid sweep result (Pareto frontier)
-    POST /v1/sweep?stream=1  NDJSON per-cell events, result last
-    GET  /v1/sweep/<id>      per-cell sweep state snapshot
-    POST /v1/sweep/<id>/cancel  stop at the next wave boundary
-    GET  /explorer           self-contained HTML frontier explorer
+    GET  /v1/cache/<key>     blob fetch (octet-stream | 404)
+    PUT  /v1/cache/<key>     blob publish (201 stored | 200 already
+                             present: first writer wins | 400 not RPT1)
 
-Design notes.  One connection serves one request (``Connection:
-close``) — parsing stays trivial and a load generator saturates it
-fine.  Response *bodies* for ``/v1/run`` are a pure function of the
-request spec; volatile facts (timing, coalescing, cache provenance)
-travel in ``X-Repro-*`` headers so concurrent, cold and warm answers
-to the same request are byte-identical.  Streaming responses carry no
-``Content-Length`` and are delimited by connection close, which every
-HTTP/1.1 client understands.
+Workers point ``--cache-url`` at this server
+(:class:`~repro.sim.cache.HttpCacheTier`): their local misses read
+through it and their local stores write through, so a fleet computes
+each cell once.  One connection serves one request (``Connection:
+close``), which keeps parsing trivial.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from urllib.parse import parse_qs, urlsplit
+import threading
+from urllib.parse import urlsplit
 
 from repro.chaos.clock import CLOCK
 from repro.serve.metrics import Registry
 from repro.sim import transport
-from repro.serve.scheduler import (
-    BadRequest,
-    Job,
-    JobOutcome,
-    QueueFull,
-    Scheduler,
-    UnknownExperiment,
-    default_plans_for,
-    error_body,
-)
 from repro.sim.cache import RunCache
 
 REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 408: "Request Timeout",
     413: "Payload Too Large", 500: "Internal Server Error",
-    503: "Service Unavailable",
 }
 
 #: Limits keeping a misbehaving client from holding memory or sockets.
 MAX_HEADER_LINE = 8192
 MAX_HEADERS = 64
 MAX_TARGET = 2048
-MAX_BODY = 1 << 20
-#: Cache-tier PUTs carry pickled cell results — chain-stage checkpoints
-#: serialize whole VMs, far past the JSON request cap.
+#: Body cap: PUTs carry framed cell results, and chain-stage
+#: checkpoints serialize whole VMs.
 CACHE_MAX_BODY = 64 << 20
 READ_TIMEOUT = 30.0
 
 JSON_TYPE = "application/json"
-NDJSON_TYPE = "application/x-ndjson"
 METRICS_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
@@ -78,27 +54,21 @@ class _HttpError(Exception):
 
 
 class ReproServer:
-    """The serve-layer composition root: scheduler + HTTP front end."""
+    """The shared cache tier: a :class:`RunCache` behind HTTP."""
 
     def __init__(
         self,
+        cache: RunCache,
         host: str = "127.0.0.1",
         port: int = 8377,
-        queue_depth: int = 16,
-        workers: int = 2,
-        sim_jobs: int = 1,
-        cache: RunCache | None = None,
-        plans_for=default_plans_for,
-        retry_after: float = 1.0,
         read_timeout: float = READ_TIMEOUT,
-        max_body: int = MAX_BODY,
         injector=None,
         clock=None,
     ):
+        self.cache = cache
         self.host = host
         self.port = port
         self.read_timeout = read_timeout
-        self.max_body = max_body
         self.injector = injector
         self.clock = clock if clock is not None else CLOCK
         self._conn_seq = 0
@@ -129,23 +99,28 @@ class ReproServer:
             "Shared-tier blob body bytes on the wire, by direction.",
             label="direction",
         )
-        self.scheduler = Scheduler(
-            queue_depth=queue_depth, workers=workers, sim_jobs=sim_jobs,
-            cache=cache, plans_for=plans_for, retry_after=retry_after,
-            registry=self.registry, injector=injector, clock=self.clock,
-        )
+        if injector is not None:
+            self.registry.func_counter(
+                "repro_chaos_faults_total",
+                "Injected faults fired, by site.", label="site",
+                fn=injector.fired_by_site,
+            )
+            self.registry.func_counter(
+                "repro_chaos_recovered_total",
+                "Injected faults answered by a recovery action, by site.",
+                label="site", fn=injector.recovered_by_site,
+            )
         self.started = self.clock.wall()
         self._server: asyncio.base_events.Server | None = None
 
     # -- lifecycle ----------------------------------------------------
 
     async def start(self) -> None:
-        """Bind the listening socket and spawn the scheduler workers.
+        """Bind the listening socket.
 
         ``port=0`` binds an ephemeral port; ``self.port`` is updated to
         the bound value either way.
         """
-        await self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port
         )
@@ -161,7 +136,6 @@ class ReproServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.scheduler.stop()
 
     def run(self) -> None:  # pragma: no cover - interactive entry point
         """Blocking convenience runner (the CLI's ``repro serve``)."""
@@ -169,8 +143,7 @@ class ReproServer:
         async def _main():
             await self.start()
             print(f"repro serve listening on http://{self.host}:{self.port} "
-                  f"(queue={self.scheduler.queue_depth}, "
-                  f"workers={self.scheduler.workers})")
+                  f"(cache {self.cache.root})")
             try:
                 await self.serve_forever()
             except asyncio.CancelledError:
@@ -268,15 +241,9 @@ class ReproServer:
                 raise _HttpError(400, "bad Content-Length") from None
             if length < 0:
                 raise _HttpError(400, "bad Content-Length")
-            # Blob PUTs on the cache tier get their own (much larger)
-            # cap; everything else keeps the tight JSON-body limit.
-            body_cap = (
-                CACHE_MAX_BODY if target.startswith("/v1/cache/")
-                else self.max_body
-            )
-            if length > body_cap:
+            if length > CACHE_MAX_BODY:
                 raise _HttpError(
-                    413, f"body exceeds {body_cap} bytes"
+                    413, f"body exceeds {CACHE_MAX_BODY} bytes"
                 )
             if self.injector is not None:
                 record = self.injector.fire("serve.body", f"conn{conn_id}")
@@ -292,201 +259,29 @@ class ReproServer:
 
     async def _dispatch(self, writer, method: str, target: str,
                         headers: dict, body: bytes) -> None:
-        url = urlsplit(target)
-        path = url.path
-        # Per-key cache and per-id sweep paths collapse to one label
-        # value each — a fleet syncing thousands of digests must not
-        # explode the cardinality of the requests counter.
-        if path.startswith("/v1/cache/"):
-            label = "/v1/cache"
-        elif path.startswith("/v1/sweep/"):
-            label = "/v1/sweep/id"
-        else:
-            label = path
-        self.m_requests.inc(label)
+        path = urlsplit(target).path
+        # Per-key cache paths collapse to one label value: a fleet
+        # syncing thousands of digests must not explode the cardinality
+        # of the requests counter.
+        is_cache = path.startswith("/v1/cache/")
+        self.m_requests.inc("/v1/cache" if is_cache else path)
         if path == "/healthz" and method == "GET":
             await self._respond_json(writer, 200, {
                 "status": "ok",
                 "uptime_seconds": round(self.clock.wall() - self.started, 3),
-                "queue_depth": self.scheduler._queue.qsize(),
-                "inflight": len(self.scheduler._inflight),
-            })
-        elif path == "/v1/experiments" and method == "GET":
-            from repro.cli import EXPERIMENTS, SCALES
-
-            await self._respond_json(writer, 200, {
-                "experiments": dict(EXPERIMENTS),
-                "scales": sorted(SCALES),
             })
         elif path == "/metrics" and method == "GET":
             await self._respond(
                 writer, 200, self.registry.render().encode(),
                 content_type=METRICS_TYPE,
             )
-        elif path == "/v1/run":
-            if method != "POST":
-                await self._respond_json(
-                    writer, 405, {"error": "POST required"},
-                    extra=[("Allow", "POST")],
-                )
-                return
-            stream = parse_qs(url.query).get("stream", ["0"])[0] not in (
-                "0", "", "false"
-            )
-            await self._handle_run(writer, body, stream)
-        elif path.startswith("/v1/cache/"):
+        elif is_cache:
             await self._handle_cache(
                 writer, method, path[len("/v1/cache/"):], body
-            )
-        elif path == "/v1/sweep":
-            if method != "POST":
-                await self._respond_json(
-                    writer, 405, {"error": "POST required"},
-                    extra=[("Allow", "POST")],
-                )
-                return
-            stream = parse_qs(url.query).get("stream", ["0"])[0] not in (
-                "0", "", "false"
-            )
-            await self._handle_sweep(writer, body, stream)
-        elif path.startswith("/v1/sweep/"):
-            await self._handle_sweep_status(
-                writer, method, path[len("/v1/sweep/"):]
-            )
-        elif path == "/explorer" and method == "GET":
-            from repro.sweep.explorer import render_explorer
-
-            page = render_explorer(self.scheduler.sweep_entries())
-            await self._respond(
-                writer, 200, page.encode(),
-                content_type="text/html; charset=utf-8",
             )
         else:
             await self._respond_json(
                 writer, 404, {"error": f"no route for {method} {path}"}
-            )
-
-    async def _handle_run(self, writer, body: bytes, stream: bool) -> None:
-        try:
-            request = json.loads(body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            await self._respond_json(writer, 400, {"error": "body is not JSON"})
-            return
-        if not isinstance(request, dict) or "experiment" not in request:
-            await self._respond_json(
-                writer, 400,
-                {"error": 'body must be {"experiment": ..., "scale": ...}'},
-            )
-            return
-        experiment = request["experiment"]
-        scale = request.get("scale", "quick")
-        params = request.get("params") or None
-        if params is not None and not isinstance(params, dict):
-            await self._respond_json(
-                writer, 400, {"error": "params must be an object"}
-            )
-            return
-        try:
-            job, coalesced = self.scheduler.submit(experiment, scale, params)
-        except UnknownExperiment as exc:
-            await self._respond_json(writer, 404, {"error": str(exc)})
-            return
-        except BadRequest as exc:
-            await self._respond_json(writer, 400, {"error": str(exc)})
-            return
-        except QueueFull as exc:
-            await self._respond_json(
-                writer, 503, {"error": str(exc)},
-                extra=[("Retry-After", f"{self.scheduler.retry_after:g}")],
-            )
-            return
-        if stream:
-            await self._stream_job(writer, job, coalesced)
-        else:
-            outcome = await asyncio.shield(job.outcome)
-            await self._respond_outcome(writer, job, outcome, coalesced)
-
-    async def _handle_sweep(self, writer, body: bytes, stream: bool) -> None:
-        from repro.sweep.grid import SweepValidationError
-
-        try:
-            request = json.loads(body.decode() or "{}")
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            await self._respond_json(writer, 400, {"error": "body is not JSON"})
-            return
-        try:
-            job, coalesced = self.scheduler.submit_sweep(request)
-        except SweepValidationError as exc:
-            await self._respond_json(writer, 400, {"error": str(exc)})
-            return
-        except QueueFull as exc:
-            await self._respond_json(
-                writer, 503, {"error": str(exc)},
-                extra=[("Retry-After", f"{self.scheduler.retry_after:g}")],
-            )
-            return
-        if stream:
-            self.scheduler.sweep_stream_clients += 1
-            try:
-                await self._stream_job(writer, job, coalesced)
-            finally:
-                self.scheduler.sweep_stream_clients -= 1
-        else:
-            outcome = await asyncio.shield(job.outcome)
-            stats = outcome.stats or {}
-            extra = [
-                ("X-Repro-Sweep", job.job_id),
-                ("X-Repro-Sweep-Points", str(job.total_points)),
-                ("X-Repro-Sweep-Cells", str(job.total_cells)),
-                ("X-Repro-Coalesced", "1" if coalesced else "0"),
-                ("X-Repro-Elapsed-Ms", f"{outcome.elapsed_ms:.3f}"),
-                ("X-Repro-Cells-Computed", str(stats.get("computed", 0))),
-                ("X-Repro-Cells-Cached", str(stats.get("cache_hits", 0))),
-            ]
-            status = 200 if outcome.status == "done" else 500
-            await self._respond(writer, status, outcome.body,
-                                content_type=JSON_TYPE, extra=extra)
-
-    async def _handle_sweep_status(self, writer, method: str,
-                                   rest: str) -> None:
-        """``GET /v1/sweep/<id>`` and ``POST /v1/sweep/<id>/cancel``."""
-        sweep_id, _, action = rest.partition("/")
-        job = self.scheduler.get_sweep(sweep_id)
-        if job is None:
-            await self._respond_json(
-                writer, 404, {"error": f"no sweep {sweep_id!r}"}
-            )
-            return
-        if action == "" and method == "GET":
-            if job.outcome.done():
-                state = job.outcome.result().status
-            else:
-                state = "running" if job.run is not None else "queued"
-            payload = {
-                "sweep": job.job_id,
-                "state": state,
-                "points": job.total_points,
-                "unique_cells": job.total_cells,
-                "coalesced_joins": job.joiners,
-            }
-            if job.run is not None:
-                payload.update(job.run.status())
-            if job.result_data is not None:
-                payload["frontier_labels"] = (
-                    job.result_data["frontier_labels"]
-                )
-                payload["frontier_size"] = job.result_data["frontier_size"]
-            await self._respond_json(writer, 200, payload)
-        elif action == "cancel" and method == "POST":
-            self.scheduler.cancel_sweep(sweep_id)
-            await self._respond_json(writer, 200, {
-                "sweep": job.job_id,
-                "cancelled": not job.outcome.done(),
-            })
-        else:
-            await self._respond_json(
-                writer, 404,
-                {"error": f"no route for {method} /v1/sweep/{rest}"},
             )
 
     async def _handle_cache(self, writer, method: str, key: str,
@@ -503,12 +298,7 @@ class ReproServer:
         nothing is unpickled) or it answers 400, so a malformed write
         can never claim a key that every reader would then quarantine.
         """
-        cache = self.scheduler.cache
-        if cache is None:
-            await self._respond_json(
-                writer, 404, {"error": "cache tier disabled (--no-cache)"}
-            )
-            return
+        cache = self.cache
         if len(key) != 64 or any(c not in "0123456789abcdef" for c in key):
             await self._respond_json(
                 writer, 400,
@@ -558,43 +348,6 @@ class ReproServer:
                 extra=[("Allow", "GET, PUT")],
             )
 
-    async def _respond_outcome(self, writer, job: Job, outcome: JobOutcome,
-                               coalesced: bool) -> None:
-        stats = outcome.stats or {}
-        extra = [
-            ("X-Repro-Job", job.job_id),
-            ("X-Repro-Coalesced", "1" if coalesced else "0"),
-            ("X-Repro-Elapsed-Ms", f"{outcome.elapsed_ms:.3f}"),
-            ("X-Repro-Cells-Computed", str(stats.get("computed", 0))),
-            ("X-Repro-Cells-Cached", str(stats.get("cache_hits", 0))),
-            ("X-Repro-Cells-Deduped", str(stats.get("deduped", 0))),
-        ]
-        status = 200 if outcome.status == "done" else 500
-        await self._respond(writer, status, outcome.body,
-                            content_type=JSON_TYPE, extra=extra)
-
-    async def _stream_job(self, writer, job: Job, coalesced: bool) -> None:
-        events = job.subscribe()
-        head = [
-            ("Content-Type", NDJSON_TYPE),
-            ("X-Repro-Job", job.job_id),
-            ("X-Repro-Coalesced", "1" if coalesced else "0"),
-            ("Connection", "close"),
-            ("Cache-Control", "no-store"),
-        ]
-        self.m_responses.inc("200")
-        writer.write(_head(200, head))
-        await writer.drain()
-        while True:
-            event = await events.get()
-            if event is None:
-                break
-            writer.write(json.dumps(event, sort_keys=True).encode() + b"\n")
-            try:
-                await writer.drain()
-            except ConnectionError:
-                return  # subscriber gone; job itself keeps running
-
     # -- response plumbing --------------------------------------------
 
     async def _respond_json(self, writer, status: int, payload: dict,
@@ -626,28 +379,64 @@ def _head(status: int, headers: list[tuple[str, str]]) -> bytes:
 
 def build_server(args) -> ReproServer:
     """Construct a server from parsed ``repro serve`` CLI args."""
-    injector = None
-    plan_spec = getattr(args, "chaos_plan", None)
-    if plan_spec:
-        from repro.chaos import FaultInjector, FaultPlan
+    from repro.cli import make_injector
 
-        injector = FaultInjector(FaultPlan.parse(
-            plan_spec, seed=getattr(args, "chaos_seed", 0) or 0
-        ))
-    cache = None
-    if not getattr(args, "no_cache", False):
-        tier = None
-        cache_url = getattr(args, "cache_url", None)
-        if cache_url:
-            from repro.sim.cache import HttpCacheTier
-
-            tier = HttpCacheTier(cache_url)
-        cache = RunCache(getattr(args, "cache_dir", None),
-                         injector=injector, tier=tier)
+    injector = make_injector(args)
     return ReproServer(
-        host=args.host, port=args.port,
-        queue_depth=args.queue_depth, workers=args.workers,
-        sim_jobs=args.jobs, cache=cache,
-        retry_after=args.retry_after,
+        RunCache(args.cache_dir), host=args.host, port=args.port,
         injector=injector,
     )
+
+
+class ServerThread:
+    """A live ``ReproServer`` on its own event loop and thread.
+
+    ``with ServerThread(cache=...) as server:`` binds an ephemeral port
+    (``server.port``) and stops the server on exit.
+    """
+
+    def __init__(self, **server_kwargs):
+        self._ready = threading.Event()
+        self._server: ReproServer | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(
+            target=self._main, kwargs=server_kwargs,
+            name="repro-serve", daemon=True,
+        )
+
+    def _main(self, **server_kwargs) -> None:
+        async def amain():
+            server = ReproServer(port=0, **server_kwargs)
+            await server.start()
+            self._server = server
+            self._loop = asyncio.get_running_loop()
+            self._ready.set()
+            try:
+                await server.serve_forever()
+            except asyncio.CancelledError:
+                pass
+            finally:
+                await server.stop()
+
+        try:
+            asyncio.run(amain())
+        except BaseException as exc:  # noqa: BLE001 - surfaced to starter
+            self._error = exc
+            self._ready.set()
+
+    def __enter__(self) -> ReproServer:
+        self._thread.start()
+        self._ready.wait(timeout=60)
+        if self._server is None:
+            raise RuntimeError(
+                f"server failed to start: {self._error!r}"
+            ) from self._error
+        return self._server
+
+    def __exit__(self, *exc) -> None:
+        if self._loop is not None and self._server is not None:
+            asyncio.run_coroutine_threadsafe(
+                self._server.stop(), self._loop
+            )
+        self._thread.join(timeout=30)

@@ -153,8 +153,7 @@ class HttpCacheTier:
 
     Blobs are framed RPT1 bytes in both directions; the server rejects
     a PUT body that does not parse as one.  ``bytes_sent``/
-    ``bytes_received`` count body bytes on the wire for the bench-serve
-    tier phase.
+    ``bytes_received`` count body bytes on the wire.
 
     Every failure mode — connection refused, timeout, protocol garbage,
     unexpected status — increments ``errors`` and returns ``None``; the
@@ -572,10 +571,6 @@ class RunCache:
             "write_failures": self.write_failures,
             "quarantined": quarantined,
             "quarantined_bytes": quarantined_bytes,
-            "tier_hits": self.tier_hits,
-            "tier_misses": self.tier_misses,
-            "tier_stores": self.tier_stores,
-            "tier_errors": self.tier_errors,
             "framed_entries": framed_entries,
             "framed_bytes": framed_bytes,
             "logical_bytes": logical_bytes,

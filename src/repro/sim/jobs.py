@@ -43,7 +43,6 @@ import hashlib
 import heapq
 import importlib
 import multiprocessing
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -51,16 +50,8 @@ from typing import Any, Callable, Sequence
 
 from repro.chaos.clock import CLOCK
 from repro.errors import ConfigError
-from repro.metrics.profiling import Histogram
 from repro.sim import transport
 from repro.sim.cache import MISS, RunCache, spec_digest
-
-#: Compute-time / queue-wait buckets (seconds).  Cheap native cells sit
-#: in the head, aging-VM chain stages in the 1–60 s tail.
-CELL_SECONDS_BUCKETS = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0,
-)
 
 #: Most leaf cells one pool submission carries (amortizes pickle/spawn
 #: without starving other workers).
@@ -145,30 +136,18 @@ def execute_cell(c: Cell, dep_values: Sequence[Any] = ()) -> Any:
     return c.resolve()(*dep_values, **dict(c.kwargs))
 
 
-def _pool_run_batch(
-    items: list[tuple[Cell, tuple]]
-) -> list[tuple[float, float, bytes]]:
+def _pool_run_batch(items: list[tuple[Cell, tuple]]) -> list[bytes]:
     """Worker entry: run a batch of (cell, dep_values) sequentially.
 
-    Returns ``(started_wall, compute_seconds, blob)`` per item so the
-    submitting side can attribute queue wait (submit → start, wall
-    clocks are comparable across processes) and compute time.  Results
-    cross the process boundary as framed RPT1 blobs
+    Results cross the process boundary as framed RPT1 blobs
     (:func:`repro.sim.transport.dumps`) rather than default futures
     pickles: numpy-heavy results (chain stages hauling VM checkpoints)
     shrink by orders of magnitude before they hit the pipe, and the
     submitting side reuses the exact worker-encoded bytes for the cache
-    entry, so each result is framed once, ever.  Encoding happens
-    outside the timed section — it is transport cost, not compute.
+    entry, so each result is framed once, ever.
     """
-    out = []
-    for c, dep_values in items:
-        started_wall = time.time()
-        t0 = time.perf_counter()
-        value = execute_cell(c, dep_values)
-        seconds = time.perf_counter() - t0
-        out.append((started_wall, seconds, transport.dumps(value)))
-    return out
+    return [transport.dumps(execute_cell(c, dep_values))
+            for c, dep_values in items]
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,12 +155,13 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     """The pinned start method for the persistent worker pool.
 
     The stdlib default drifts by platform and version (``fork`` on
-    POSIX ≤3.13, ``spawn`` later) and ``fork`` is unsafe under the
-    serve layer's threads.  Pinning ``forkserver`` keeps behaviour
-    identical everywhere that has it, and preloading this module into
-    the forkserver template imports numpy and the repro package once —
-    every worker then forks from the warm template instead of paying
-    the interpreter+numpy import on each spawn.
+    POSIX ≤3.13, ``spawn`` later) and ``fork`` is unsafe in a process
+    that runs threads (such as an in-process cache-tier server).
+    Pinning ``forkserver`` keeps behaviour identical everywhere that
+    has it, and preloading this module into the forkserver template
+    imports numpy and the repro package once — every worker then forks
+    from the warm template instead of paying the interpreter+numpy
+    import on each spawn.
     """
     if "forkserver" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("forkserver")
@@ -251,13 +231,6 @@ class Executor:
         A :class:`RunCache` consulted per cell; ``None`` disables
         memoization (the default, so library callers and tests are
         unaffected unless they opt in).
-    progress:
-        Optional ``callback(event, cell)`` fired as each unique cell
-        resolves, with ``event`` one of ``"cache_hit"`` or
-        ``"computed"``.  In the pool path it fires from the submitting
-        thread as futures complete (not in cell-key order); the serving
-        layer uses it to stream per-cell progress.  Deduplicated twin
-        cells do not fire.
     injector:
         Optional :class:`~repro.chaos.FaultInjector` driving the
         ``pool.submit`` / ``pool.worker`` / ``clock`` fault sites.
@@ -278,26 +251,20 @@ class Executor:
     The worker pool is created lazily and **persists across**
     :meth:`run` calls, so repeated batches reuse warm workers; call
     :meth:`close` (or use the executor as a context manager) to shut
-    it down.  ``compute_hist`` / ``queue_wait_hist`` collect per-cell
-    compute seconds and submit-to-start queue wait, exported by the
-    serve layer through ``/metrics``.
+    it down.
     """
 
     def __init__(self, jobs: int = 1, cache: RunCache | None = None,
-                 progress: Callable[[str, Cell], None] | None = None,
                  injector=None, clock=None, max_attempts: int = 4,
                  backoff_base: float = 0.05, batch: int | None = None):
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.progress = progress
         self.injector = injector
         self.clock = clock if clock is not None else CLOCK
         self.max_attempts = max(1, int(max_attempts))
         self.backoff_base = backoff_base
         self.batch = batch
         self.stats = ExecutorStats()
-        self.compute_hist = Histogram(CELL_SECONDS_BUCKETS)
-        self.queue_wait_hist = Histogram(CELL_SECONDS_BUCKETS)
         self._salt = cache.salt if cache is not None else ""
         self._pool: ProcessPoolExecutor | None = None
 
@@ -327,10 +294,6 @@ class Executor:
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
-
-    def _notify(self, event: str, c: Cell) -> None:
-        if self.progress is not None:
-            self.progress(event, c)
 
     # -- the run -------------------------------------------------------
 
@@ -365,7 +328,7 @@ class Executor:
                 self.stats.deduped += 1
                 continue
             seen.add(k)
-            if not self._from_cache(k, c, results):
+            if not self._from_cache(k, results):
                 frontier.append((k, c))
 
         # Expand the misses into the cell DAG they actually need: a
@@ -384,7 +347,7 @@ class Executor:
                 dk = key_of(d)
                 if dk in univ or dk in results:
                     continue
-                if not self._from_cache(dk, d, results):
+                if not self._from_cache(dk, results):
                     expand(dk, d)
             topo.append(k)
 
@@ -418,7 +381,7 @@ class Executor:
 
         return [results[k] for k, _ in requested]
 
-    def _from_cache(self, key: str, c: Cell, results: dict[str, Any]) -> bool:
+    def _from_cache(self, key: str, results: dict[str, Any]) -> bool:
         if self.cache is None:
             return False
         hit = self.cache.get(key)
@@ -426,17 +389,15 @@ class Executor:
             return False
         results[key] = hit
         self.stats.cache_hits += 1
-        self._notify("cache_hit", c)
         return True
 
     def _dep_values(self, c: Cell, results: dict[str, Any],
                     key_of: Callable[[Cell], str]) -> tuple:
         return tuple(results[key_of(d)] for d in c.deps)
 
-    def _store(self, key: str, c: Cell, value: Any,
-               results: dict[str, Any],
+    def _store(self, key: str, value: Any, results: dict[str, Any],
                encoded: bytes | None = None) -> None:
-        """Land one computed result: memoize immediately, then notify.
+        """Land one computed result and memoize it immediately.
 
         ``encoded`` carries the worker's framed blob from the pool path
         so the cache stores those exact bytes instead of re-framing the
@@ -448,7 +409,6 @@ class Executor:
                 self.cache.put_encoded(key, encoded)
             else:
                 self.cache.put(key, value)
-        self._notify("computed", c)
 
     def _run_serial(self, topo: list[str], univ: dict[str, Cell],
                     results: dict[str, Any],
@@ -459,10 +419,8 @@ class Executor:
                 continue
             c = univ[k]
             deps = self._dep_values(c, results, key_of)
-            t0 = time.perf_counter()
             value = self._attempt_cell(k, c, dep_values=deps)
-            self.compute_hist.observe(time.perf_counter() - t0)
-            self._store(k, c, value, results)
+            self._store(k, value, results)
             if count_retries:
                 self.stats.retried_serial += 1
 
@@ -578,18 +536,11 @@ class Executor:
                         (univ[k], self._dep_values(univ[k], results, key_of))
                         for k in batch_keys
                     ]
-                    fut = pool.submit(_pool_run_batch, items)
-                    inflight[fut] = (batch_keys, time.time())
+                    inflight[pool.submit(_pool_run_batch, items)] = batch_keys
                 done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    batch_keys, submitted_wall = inflight.pop(fut)
-                    for k, (started_wall, seconds, blob) in zip(
-                        batch_keys, fut.result()
-                    ):
-                        self.queue_wait_hist.observe(
-                            started_wall - submitted_wall
-                        )
-                        self.compute_hist.observe(seconds)
+                    batch_keys = inflight.pop(fut)
+                    for k, blob in zip(batch_keys, fut.result()):
                         c = univ[k]
                         value = transport.loads(blob)
                         crashes = self.stats.worker_crashes
@@ -604,7 +555,7 @@ class Executor:
                             blob if self.stats.worker_crashes == crashes
                             else None
                         )
-                        self._store(k, c, value, results, encoded=encoded)
+                        self._store(k, value, results, encoded=encoded)
                         for m in dependents[k]:
                             waiting[m] -= 1
                             if waiting[m] == 0:

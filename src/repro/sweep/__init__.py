@@ -1,36 +1,30 @@
-"""Parameter-sweep-as-a-service over the policy × scheme × workload grid.
+"""Parameter sweeps over the policy × scheme × workload grid.
 
 The paper's central trade-off — translation overhead vs. memory bloat
 across the software policies (THP, Ingens, CA, eager, …) and the
 hardware schemes (radix paging, SpOT, vRMM, DS) — is only visible when
-many (policy, scheme, workload) points are measured together.  This
-package turns the repo's figure machinery into a queryable instrument:
+many (policy, scheme, workload) points are measured together:
 
 - :mod:`repro.sweep.grid` — a declarative :class:`SweepSpec` whose axes
   expand into deduplicated run cells keyed by the same content
-  addresses the run cache and the serve layer already use;
-- :mod:`repro.sweep.runner` — fans a grid through the DAG
-  :class:`~repro.sim.jobs.Executor` (sharing the warm pool and any
-  cache tier), tracking per-cell state with cancel/resume;
+  addresses the run cache already uses;
+- :mod:`repro.sweep.runner` — runs a grid's cells through one
+  :class:`~repro.sim.jobs.Executor` batch (sharing the process pool
+  and any cache tier);
 - :mod:`repro.sweep.frontier` — extracts overhead/bloat/contiguity
   metrics per grid point and computes exact Pareto frontiers plus
-  contiguity-CDF and walk-cycle summaries as plain dicts;
-- :mod:`repro.sweep.explorer` — a dependency-free HTML/SVG renderer for
-  the ``GET /explorer`` page.
+  contiguity-CDF and walk-cycle summaries as plain dicts.
 
-Serving (``POST /v1/sweep``, ``GET /v1/sweep/<id>``, ``GET /explorer``)
-lives in :mod:`repro.serve`; the CLI entry is ``repro sweep``.
+The CLI entry is ``repro sweep``.
 """
 
 from repro.sweep.frontier import pareto_frontier, point_metrics
 from repro.sweep.grid import SCHEMES, GridPoint, SweepSpec, SweepValidationError
-from repro.sweep.runner import SweepCancelled, SweepRun, run_sweep
+from repro.sweep.runner import run_sweep
 
 __all__ = [
     "SCHEMES",
     "GridPoint",
-    "SweepCancelled",
-    "SweepRun",
     "SweepSpec",
     "SweepValidationError",
     "pareto_frontier",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.cache import encode_spec, spec_digest
@@ -62,8 +62,8 @@ WORKLOADS = ("svm", "pagerank", "hashjoin", "xsbench", "bt",
 #: 200k: sweeps trade per-point resolution for grid breadth).
 DEFAULT_TRACE_LEN = 50_000
 
-#: Hard cap on expanded grid points per sweep — admission control for
-#: the grid itself, not just the job queue.
+#: Hard cap on expanded grid points per sweep, so a typo in an axis
+#: list cannot queue an unbounded amount of work.
 MAX_POINTS = 512
 
 
@@ -339,7 +339,7 @@ class SweepSpec:
         """Content address of the whole sweep under a code salt.
 
         Covers the expanded cell specs (not just the axis lists), so
-        two spellings that expand to the same work coalesce, and any
+        two spellings that expand to the same work share it, and any
         change to the underlying cell definitions shifts the digest
         with the cache keys.
         """
@@ -350,9 +350,3 @@ class SweepSpec:
             "refs": [list(r) for r in refs],
         }, salt)
 
-
-def iter_point_cells(
-    points: Iterable[GridPoint], refs: Sequence[tuple[int, int]]
-) -> Iterable[tuple[GridPoint, tuple[int, int]]]:
-    """Pair points with their cell indices (convenience for runners)."""
-    return zip(points, refs)

@@ -1,249 +1,32 @@
-"""Sweep execution: fan a grid through the DAG executor, track state.
+"""Sweep execution: run a grid's cells in one executor batch.
 
-A :class:`SweepRun` owns one expanded grid.  It drives the unique
-cells through a shared :class:`~repro.sim.jobs.Executor` — the same
-warm process pool and (tiered) run cache the serve layer and the CLI
-already use, so repeated and overlapping sweeps recompute nothing —
-in deterministic **waves** of grid points.  After each wave the run:
+:func:`run_sweep` expands a :class:`~repro.sweep.grid.SweepSpec` into
+its grid points and their deduplicated cells, runs every cell through
+one :meth:`Executor.run <repro.sim.jobs.Executor.run>` call — the same
+process pool and (tiered) run cache the suite uses, so a repeated or
+overlapping sweep recomputes nothing — and assembles the outcome.
 
-- marks every point of the wave ``done`` and emits one event per
-  point carrying its full metrics dict (the serve layer forwards
-  these as NDJSON lines);
-- checks the cancel flag, so a cancelled sweep stops at the next wave
-  boundary with every completed cell already persisted in the run
-  cache.  Calling :meth:`run` again *resumes*: finished waves replay
-  from the cache, only the unfinished suffix computes.
-
-Results are assembled into a plain-dict outcome whose canonical JSON
-is byte-identical between serial (``jobs=1``) and parallel execution:
-cell results are pure functions of their specs and all ordering below
-is input-order, never completion-order.
+The outcome is plain dicts whose canonical JSON is byte-identical
+between serial (``jobs=1``) and parallel execution: cell results are
+pure functions of their specs and all ordering below is input order,
+never completion order.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
 
 from repro.sim.jobs import Executor
 from repro.sweep import frontier as frontier_mod
-from repro.sweep.grid import GridPoint, SweepSpec
-
-#: Grid points per executor wave.  Large enough to keep a multi-process
-#: pool saturated (each point carries up to two cells), small enough
-#: that cancel takes effect promptly.
-WAVE_POINTS = 16
-
-#: Per-point lifecycle states.
-PENDING = "pending"
-RUNNING = "running"
-DONE = "done"
-CANCELLED = "cancelled"
-FAILED = "failed"
-
-
-class SweepCancelled(RuntimeError):
-    """The sweep was cancelled before completing (resumable)."""
-
-
-@dataclass
-class SweepRun:
-    """One sweep's execution state machine.
-
-    Parameters
-    ----------
-    spec:
-        The validated :class:`~repro.sweep.grid.SweepSpec`.
-    executor:
-        Shared cell executor (pool, cache, chaos injector all ride it).
-    on_event:
-        Optional callback receiving each progress event dict (the
-        serve layer marshals these onto its event loop as NDJSON).
-    """
-
-    spec: SweepSpec
-    executor: Executor
-    on_event: Callable[[dict], None] | None = None
-    wave_points: int = WAVE_POINTS
-
-    points: list[GridPoint] = field(init=False)
-    states: list[str] = field(init=False)
-    metrics: list[dict | None] = field(init=False)
-    sources: list[str | None] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.points, self._cells, self._refs = self.spec.expand()
-        self.states = [PENDING] * len(self.points)
-        self.metrics = [None] * len(self.points)
-        self.sources = [None] * len(self.points)
-        self._cell_results: dict[int, Any] = {}
-        self._cancelled = False
-        self._costs = frontier_mod.walk_costs()
-
-    # -- control -------------------------------------------------------
-
-    def cancel(self) -> None:
-        """Stop at the next wave boundary (idempotent, thread-safe: a
-        single flag write)."""
-        self._cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def state_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for s in self.states:
-            out[s] = out.get(s, 0) + 1
-        return out
-
-    def status(self) -> dict:
-        """JSON-ready per-cell state snapshot (the /v1/sweep/<id> body)."""
-        return {
-            "points": len(self.points),
-            "unique_cells": len(self._cells),
-            "states": self.state_counts(),
-            "cells": [
-                {"point": p.as_dict(), "state": s, "source": src}
-                for p, s, src in zip(self.points, self.states, self.sources)
-            ],
-        }
-
-    def _emit(self, event: dict) -> None:
-        if self.on_event is not None:
-            self.on_event(event)
-
-    # -- execution -----------------------------------------------------
-
-    def run(self) -> dict:
-        """Execute (or resume) the grid; returns the outcome dict.
-
-        Raises :class:`SweepCancelled` when the cancel flag stopped the
-        run before the last wave; every wave completed so far remains
-        recorded.  The flag is sticky — a cancel that lands before the
-        run starts still takes effect — so *resume* means building a
-        fresh :class:`SweepRun` over the same spec: its finished waves
-        replay from the run cache for free.
-        """
-        pending = [i for i, s in enumerate(self.states) if s != DONE]
-        done_before = len(self.points) - len(pending)
-        waves = [
-            pending[i:i + self.wave_points]
-            for i in range(0, len(pending), self.wave_points)
-        ]
-        completed = done_before
-        for wave in waves:
-            if self._cancelled:
-                self._mark_cancelled(pending, completed - done_before)
-                raise SweepCancelled(
-                    f"sweep cancelled with {completed}/{len(self.points)} "
-                    f"point(s) done"
-                )
-            for i in wave:
-                self.states[i] = RUNNING
-            computed_before = self.executor.stats.computed
-            try:
-                self._run_wave(wave)
-            except Exception:
-                for i in wave:
-                    if self.states[i] == RUNNING:
-                        self.states[i] = FAILED
-                raise
-            wave_computed = self.executor.stats.computed - computed_before
-            for i in wave:
-                completed += 1
-                self._emit({
-                    "event": "sweep-cell",
-                    **self.metrics[i]["point"],
-                    "source": self.sources[i],
-                    "metrics": self.metrics[i],
-                    "done": completed,
-                    "total": len(self.points),
-                    "wave_computed_cells": wave_computed,
-                })
-        return self._assemble()
-
-    def _run_wave(self, wave: list[int]) -> None:
-        """Run one wave's cells and extract each point's metrics."""
-        need: list[int] = []
-        for i in wave:
-            for ci in self._refs[i]:
-                if ci not in self._cell_results and ci not in need:
-                    need.append(ci)
-        computed_before = self.executor.stats.computed
-        if need:
-            values = self.executor.run([self._cells[ci] for ci in need])
-            for ci, value in zip(need, values):
-                self._cell_results[ci] = value
-        # Source is wave-granular: the shared executor's progress hook
-        # belongs to the serve layer, so per-cell provenance is not
-        # observable here without racing it.  The two cases callers
-        # gate on — cold run, fully-cached repeat — are exact.
-        wave_computed = self.executor.stats.computed > computed_before
-        for i in wave:
-            native_i, sim_i = self._refs[i]
-            point = self.points[i]
-            self.metrics[i] = frontier_mod.point_metrics(
-                point,
-                self._cell_results[native_i],
-                self._cell_results[sim_i],
-                self._costs,
-            )
-            self.states[i] = DONE
-            fresh = any(ci in need for ci in self._refs[i])
-            self.sources[i] = "shared" if not fresh else (
-                "computed" if wave_computed else "cached"
-            )
-
-    def _mark_cancelled(self, pending: list[int], done_in_run: int) -> None:
-        for i in pending[done_in_run:]:
-            if self.states[i] == PENDING:
-                self.states[i] = CANCELLED
-        self._emit({
-            "event": "sweep-cancelled",
-            "done": len(self.points) - sum(
-                1 for s in self.states if s != DONE
-            ),
-            "total": len(self.points),
-        })
-
-    # -- assembly ------------------------------------------------------
-
-    def _assemble(self) -> dict:
-        """The canonical sweep outcome (plain dicts, stable ordering)."""
-        cells = [m for m in self.metrics if m is not None]
-        front = frontier_mod.pareto_frontier(cells)
-        frontier_labels = [m["label"] for m in front]
-        cdfs = {}
-        walks = {}
-        for i, point in enumerate(self.points):
-            native_i, sim_i = self._refs[i]
-            key = f"{point.workload}|{point.policy}"
-            if key not in cdfs:
-                cdfs[key] = frontier_mod.contiguity_cdf(
-                    self._cell_results[native_i]
-                )
-                walks[key] = frontier_mod.walk_cycle_summary(
-                    self._cell_results[sim_i], self._costs
-                )
-        return {
-            "sweep": self.spec.as_dict(),
-            "points": len(self.points),
-            "unique_cells": len(self._cells),
-            "cells": cells,
-            "frontier": front,
-            "frontier_labels": frontier_labels,
-            "frontier_size": len(front),
-            "contiguity_cdf": cdfs,
-            "walk_cycles": walks,
-        }
+from repro.sweep.grid import SweepSpec
 
 
 @dataclass
 class SweepOutcomeStats:
-    """Executor-side accounting of one sweep run (volatile: travels in
-    headers/events, never in the canonical body)."""
+    """Executor-side accounting of one sweep run (volatile: reported
+    beside the outcome, never inside it)."""
 
     seconds: float
     submitted: int
@@ -261,22 +44,47 @@ class SweepOutcomeStats:
         }
 
 
-def run_sweep(spec: SweepSpec, executor: Executor,
-              on_event: Callable[[dict], None] | None = None,
-              wave_points: int = WAVE_POINTS,
-              ) -> tuple[dict, SweepOutcomeStats, SweepRun]:
-    """One-shot convenience: build a run, execute it, report stats."""
-    run = SweepRun(spec=spec, executor=executor, on_event=on_event,
-                   wave_points=wave_points)
-    before = (executor.stats.submitted, executor.stats.computed,
-              executor.stats.cache_hits, executor.stats.deduped)
+def run_sweep(spec: SweepSpec, executor: Executor
+              ) -> tuple[dict, SweepOutcomeStats]:
+    """Run the grid; returns the canonical outcome and its stats."""
+    points, cells, refs = spec.expand()
+    before = dataclasses.replace(executor.stats)
     started = time.perf_counter()
-    outcome = run.run()
+    results = executor.run(cells)
+    costs = frontier_mod.walk_costs()
+    metrics = [
+        frontier_mod.point_metrics(
+            point, results[native_i], results[sim_i], costs
+        )
+        for point, (native_i, sim_i) in zip(points, refs)
+    ]
+    front = frontier_mod.pareto_frontier(metrics)
+    cdfs: dict = {}
+    walks: dict = {}
+    for point, (native_i, sim_i) in zip(points, refs):
+        key = f"{point.workload}|{point.policy}"
+        if key not in cdfs:
+            cdfs[key] = frontier_mod.contiguity_cdf(results[native_i])
+            walks[key] = frontier_mod.walk_cycle_summary(
+                results[sim_i], costs
+            )
+    outcome = {
+        "sweep": spec.as_dict(),
+        "points": len(points),
+        "unique_cells": len(cells),
+        "cells": metrics,
+        "frontier": front,
+        "frontier_labels": [m["label"] for m in front],
+        "frontier_size": len(front),
+        "contiguity_cdf": cdfs,
+        "walk_cycles": walks,
+    }
+    after = executor.stats
     stats = SweepOutcomeStats(
         seconds=time.perf_counter() - started,
-        submitted=executor.stats.submitted - before[0],
-        computed=executor.stats.computed - before[1],
-        cache_hits=executor.stats.cache_hits - before[2],
-        deduped=executor.stats.deduped - before[3],
+        submitted=after.submitted - before.submitted,
+        computed=after.computed - before.computed,
+        cache_hits=after.cache_hits - before.cache_hits,
+        deduped=after.deduped - before.deduped,
     )
-    return outcome, stats, run
+    return outcome, stats

@@ -6,22 +6,33 @@ import json
 
 import pytest
 
-from repro.chaos.soak import QUICK_EXPERIMENTS, run_soak, write_trace
+from repro.chaos import FaultInjector, FaultPlan
+from repro.chaos.soak import (
+    QUICK_EXPERIMENTS,
+    _run_grid,
+    _serve_phase,
+    run_soak,
+    write_trace,
+)
 from repro.cli import build_parser, make_injector
 
 
 @pytest.fixture(scope="module")
-def soak_report(tmp_path_factory):
+def soak_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("soak")
+
+
+@pytest.fixture(scope="module")
+def soak_report(soak_dir):
     # One real soak shared by the assertions below (four grid passes of
-    # fig9 at quick scale; serve phase exercised by chaos-soak in CI).
+    # fig9 at quick scale; its serve phase is tested on its own below).
     # The plan fires on *every* cache access — deterministic whatever
     # the cell keys hash to under this commit's code salt — and leaves
     # pool.worker alone so no retry budget can be exhausted.
     return run_soak(
         experiments=("fig9",),
         plan_spec="cache.read=1.0,cache.write=1.0", seed=1, jobs=1,
-        serve=False,
-        cache_dir=tmp_path_factory.mktemp("soak"),
+        serve=False, cache_dir=soak_dir,
     )
 
 
@@ -55,6 +66,26 @@ class TestRunSoak:
         assert loaded["plan"]["probabilities"] == {
             "cache.read": 1.0, "cache.write": 1.0,
         }
+
+    def test_tier_phase_matches_clean_under_serve_faults(self, soak_report,
+                                                         soak_dir, tmp_path):
+        grid_dir = soak_dir / "soak-cache"
+        clean, _ = _run_grid(("fig9",), "quick", 1, grid_dir, injector=None)
+        injector = FaultInjector(FaultPlan.parse(
+            "serve.accept=0.5,serve.body=0.5", seed=0
+        ))
+        out = _serve_phase(("fig9",), "quick", 1, grid_dir, injector,
+                           clean)
+        assert out["identical_grid"] is True
+        fired = injector.fired_by_site()
+        assert fired.get("serve.accept", 0) >= 1
+        assert injector.unrecovered() == []
+        # The served cache is warm, so every lookup that got through
+        # hit; each fault cost exactly one tier miss (a dropped GET) or
+        # one tier error (a dropped or stalled PUT), never the run.
+        tier = out["stats"]["tier"]
+        assert tier["hits"] >= 1
+        assert tier["misses"] + tier["errors"] == sum(fired.values())
 
     def test_quick_grid_is_a_subset_of_the_registry(self):
         from repro.cli import EXPERIMENTS

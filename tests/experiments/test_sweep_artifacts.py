@@ -1,6 +1,6 @@
 """Sweep outcomes through the archival paths (satellite coverage).
 
-The sweep explorer leans on two older pieces of plumbing:
+Sweeps lean on two older pieces of plumbing:
 ``experiments.serialize`` archives outcomes next to EXPERIMENTS.md and
 ``experiments.charts`` renders grid-shaped data in the terminal.  These
 tests pin the contract the sweep layer now depends on: a full sweep
@@ -24,7 +24,7 @@ from repro.experiments.serialize import (
 )
 from repro.sim.jobs import Executor
 from repro.sweep.grid import GridPoint
-from repro.sweep.runner import SweepRun
+from repro.sweep.runner import run_sweep
 from tests.sweep.fakes import ToySpec
 
 
@@ -32,7 +32,7 @@ from tests.sweep.fakes import ToySpec
 def outcome() -> dict:
     executor = Executor(jobs=1)
     try:
-        return SweepRun(spec=ToySpec(), executor=executor).run()
+        return run_sweep(ToySpec(), executor)[0]
     finally:
         executor.close()
 
@@ -40,7 +40,7 @@ def outcome() -> dict:
 class TestSerializeRoundTrip:
     def test_outcome_is_a_fixed_point(self, outcome):
         # A sweep outcome is already plain data: serialization must be
-        # the identity, so archived and served bytes never diverge.
+        # the identity, so archived and printed bytes never diverge.
         assert to_jsonable(outcome) == outcome
 
     def test_save_load_byte_stable(self, outcome, tmp_path):
@@ -81,8 +81,8 @@ class TestGridShapedCharts:
             assert any(label in line for line in lines)
 
     def test_policy_by_scheme_grouped_chart(self, outcome):
-        # Pivot the flat cell list into the grid the explorer shows:
-        # one group per policy, one series per scheme.
+        # Pivot the flat cell list into a policy x scheme grid: one
+        # group per policy, one series per scheme.
         policies = [f"p{i}" for i in range(3)]
         series = {
             scheme: [

@@ -16,7 +16,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.serve.loadgen import ServerThread
+from repro.serve.server import ServerThread
 from repro.sim import transport
 from repro.sim.cache import MISS, HttpCacheTier, RunCache
 from repro.sim.jobs import Executor, cell
@@ -155,13 +155,13 @@ class TestFederatedRunCache:
         assert b.cache.tier_hits == 2
 
 
-class TestBlobFormatNegotiation:
+class TestFramedBlobsOnTheWire:
     """Framed RPT1 blobs travel through the tier byte for byte."""
 
     def _value(self):
         return {"col": np.repeat(np.arange(8, dtype=np.uint64), 2_048)}
 
-    def test_new_peer_gets_framed_bytes_verbatim(self, tier_server):
+    def test_framed_bytes_travel_verbatim(self, tier_server):
         tier = HttpCacheTier(f"http://127.0.0.1:{tier_server.port}")
         key = "1a" * 32
         blob = transport.dumps(self._value())
@@ -198,12 +198,3 @@ class TestBlobFormatNegotiation:
                                    protocol=pickle.HIGHEST_PROTOCOL))
         assert b.tier.bytes_received < raw_len / 2
 
-
-class TestNoCacheServer:
-    def test_tier_endpoints_disabled_without_cache(self, tmp_path):
-        with ServerThread(cache=None) as server:
-            status, _ = _raw(server, "GET", f"/v1/cache/{'11' * 32}")
-            assert status == 404
-            # The client degrades to local-only without raising.
-            tier = HttpCacheTier(f"http://127.0.0.1:{server.port}")
-            assert tier.get("11" * 32) is None

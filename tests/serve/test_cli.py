@@ -1,4 +1,4 @@
-"""CLI surface of the serving layer: cache commands, size parsing."""
+"""CLI surface of the cache tier: serve/cache commands, size parsing."""
 
 import argparse
 
@@ -52,22 +52,30 @@ class TestParserWiring:
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve"])
         assert (args.host, args.port) == ("127.0.0.1", 8377)
-        assert (args.queue_depth, args.workers, args.jobs) == (16, 2, 1)
+        assert args.cache_dir is None
 
-    def test_submit_defaults(self):
-        args = build_parser().parse_args(["submit", "fig11"])
-        assert args.experiment == "fig11"
-        assert args.scale == "quick"
-        assert not args.stream
+    def test_cache_stats_has_no_tier_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([
+                "cache", "stats", "--cache-url", "http://127.0.0.1:1",
+            ])
+        assert exc.value.code == 2
+        assert "--cache-url" in capsys.readouterr().err
 
-    def test_bench_serve_defaults(self):
-        args = build_parser().parse_args(["bench-serve"])
-        assert args.clients == 8
-        assert args.experiment == "fig11"
-        assert args.out == "BENCH_serve.json"
-
-    def test_submit_without_server_fails_cleanly(self, capsys):
-        # Port 1 is never listening; the command must not raise.
-        rc = main(["submit", "fig11", "--port", "1"])
-        assert rc == 1
-        assert "cannot reach server" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["submit", "fig11"],
+        ["bench-serve"],
+        ["serve", "--queue-depth", "4"],
+        ["serve", "--workers", "2"],
+        ["serve", "--jobs", "2"],
+        ["serve", "--retry-after", "1"],
+        ["serve", "--no-cache"],
+        ["serve", "--cache-url", "http://127.0.0.1:8377"],
+        ["sweep", "--submit"],
+        ["sweep", "--stream"],
+        ["sweep", "--host", "127.0.0.1"],
+        ["sweep", "--port", "8377"],
+    ])
+    def test_retired_job_api_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.metrics import Counter, Gauge, HistogramMetric, Registry
+from repro.serve.metrics import Counter, HistogramMetric, Registry
 
 
 class TestCounter:
@@ -27,20 +27,6 @@ class TestCounter:
         assert "x_total 0" in Counter("x_total", "h").render()
 
 
-class TestGauge:
-    def test_set_value(self):
-        g = Gauge("depth", "queue depth")
-        g.set(4)
-        assert "depth 4" in g.render()
-
-    def test_callable_backed(self):
-        state = {"v": 1.5}
-        g = Gauge("ratio", "hit ratio", fn=lambda: state["v"])
-        assert "ratio 1.5" in g.render()
-        state["v"] = 2.0
-        assert g.get() == 2.0
-
-
 class TestHistogramMetric:
     def test_exposition_shape(self):
         h = HistogramMetric("lat_seconds", "latency", buckets=(0.1, 1.0))
@@ -59,11 +45,12 @@ class TestRegistry:
     def test_render_all_metrics_with_metadata(self):
         reg = Registry()
         reg.counter("a_total", "a help")
-        reg.gauge("b", "b help").set(2)
+        reg.func_counter("b_total", "b help", label="site",
+                         fn=lambda: {"x": 2})
         text = reg.render()
         assert "# HELP a_total a help" in text
         assert "# TYPE a_total counter" in text
-        assert "b 2" in text
+        assert 'b_total{site="x"} 2' in text
         assert text.endswith("\n")
 
     def test_duplicate_names_rejected(self):

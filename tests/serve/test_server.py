@@ -1,297 +1,131 @@
 """End-to-end server tests over real sockets.
 
-Each test boots a :class:`ReproServer` on an ephemeral port inside
-``asyncio.run`` and drives it with the synchronous
-:class:`ServeClient` via ``asyncio.to_thread``, so the full
-HTTP-parse -> schedule -> coalesce -> respond path is exercised,
-including the NDJSON stream framing.  Toy plans keep the simulator out
-of the loop; one registry test checks the real plan mapping.
-
-No real-time choreography: tests that need a job to stay in flight
-park its cell on a named :func:`threading.Event` **gate** and open it
-once the scheduler state they are arranging (coalesced joiners, a full
-queue) has been observed via :func:`eventually` — nothing sleeps for a
-tuned duration, so the suite cannot flake on a slow machine.
+Each test boots a :class:`ReproServer` over a scratch run cache on an
+ephemeral port inside ``asyncio.run`` and talks to it with
+:mod:`http.client` via ``asyncio.to_thread``, so the full
+HTTP-parse -> route -> respond path is exercised.
 """
 
 import asyncio
+import http.client
 import json
-import threading
-import time
-from dataclasses import dataclass
+import tempfile
 
-from repro.serve.client import ServeClient
-from repro.serve.server import ReproServer
-from repro.sim.jobs import Plan, cell
+import pytest
 
-#: Named gates cells can block on (same process: the scheduler runs
-#: cells on a thread pool, so the test coroutine can open them).
-_GATES: dict[str, threading.Event] = {}
+from repro.cli import build_parser
+from repro.serve.server import ReproServer, build_server
+from repro.sim.cache import RunCache
 
 
-def _gate(name: str) -> threading.Event:
-    return _GATES.setdefault(name, threading.Event())
+def request(port: int, method: str, path: str,
+            body: bytes | None = None) -> tuple[int, dict, bytes]:
+    """One request; ``(status, lower-cased headers, body)``."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path, body=body)
+        resp = conn.getresponse()
+        headers = {k.lower(): v for k, v in resp.getheaders()}
+        return resp.status, headers, resp.read()
+    finally:
+        conn.close()
 
 
-def _sq(*, x, gate=""):
-    if gate and not _gate(gate).wait(timeout=30):
-        raise TimeoutError(f"gate {gate!r} never opened")
-    return x * x
-
-
-SQ = "tests.serve.test_server:_sq"
-
-
-async def eventually(cond, timeout=10.0, message="condition"):
-    """Poll ``cond()`` until true (cheap in-process checks only)."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if cond():
-            return
-        await asyncio.sleep(0.01)
-    raise AssertionError(f"{message} not reached within {timeout}s")
-
-
-@dataclass
-class ToyResult:
-    values: tuple
-
-    def report(self) -> str:
-        return f"values={self.values}"
-
-
-def toy_plans_for(experiment, scale_name, params):
-    params = params or {}
-    xs = tuple(params.get("xs", (1, 2)))
-    gate = params.get("gate", "")
-    return [(experiment, Plan(
-        [cell(SQ, x=x, gate=gate) for x in xs],
-        assemble=lambda rs: ToyResult(tuple(rs)),
-    ))]
+def metrics_text(port: int) -> str:
+    status, _, body = request(port, "GET", "/metrics")
+    assert status == 200
+    return body.decode()
 
 
 async def _with_server(body, **kwargs):
-    kwargs.setdefault("plans_for", toy_plans_for)
-    kwargs.setdefault("workers", 1)
-    server = ReproServer(port=0, **kwargs)
-    await server.start()
-    try:
-        await body(server, ServeClient(port=server.port, timeout=30))
-    finally:
-        await server.stop()
+    with tempfile.TemporaryDirectory(prefix="repro-serve-test-") as root:
+        server = ReproServer(RunCache(root), port=0, **kwargs)
+        await server.start()
+        try:
+            await body(server)
+        finally:
+            await server.stop()
 
 
 def run(body, **kwargs):
+    """Run ``await body(server)`` against a live server on a scratch
+    cache; ``kwargs`` go to :class:`ReproServer`."""
     asyncio.run(_with_server(body, **kwargs))
 
 
 class TestEndpoints:
     def test_healthz(self):
-        async def body(server, client):
-            health = await asyncio.to_thread(client.healthz)
+        async def body(server):
+            status, _, raw = await asyncio.to_thread(
+                request, server.port, "GET", "/healthz"
+            )
+            assert status == 200
+            health = json.loads(raw)
+            assert set(health) == {"status", "uptime_seconds"}
             assert health["status"] == "ok"
-            assert health["queue_depth"] == 0
-
-        run(body)
-
-    def test_experiments_lists_registry(self):
-        async def body(server, client):
-            listing = await asyncio.to_thread(client.experiments)
-            assert "fig11" in listing["experiments"]
-            assert listing["scales"] == ["big", "default", "quick"]
 
         run(body)
 
     def test_unknown_route_404(self):
-        async def body(server, client):
-            resp = await asyncio.to_thread(
-                client._request, "GET", "/v1/nope"
+        async def body(server):
+            status, _, _ = await asyncio.to_thread(
+                request, server.port, "GET", "/v1/nope"
             )
-            assert resp.status == 404
+            assert status == 404
 
         run(body)
 
-    def test_run_needs_post(self):
-        async def body(server, client):
-            resp = await asyncio.to_thread(client._request, "GET", "/v1/run")
-            assert resp.status == 405
-            assert resp.headers["allow"] == "POST"
-
-        run(body)
-
-    def test_bad_json_400(self):
-        def post_garbage(port: int) -> int:
-            import http.client
-
-            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-            try:
-                conn.request("POST", "/v1/run", body=b"{nope",
-                             headers={"Content-Type": "application/json"})
-                return conn.getresponse().status
-            finally:
-                conn.close()
-
-        async def body(server, client):
-            status = await asyncio.to_thread(post_garbage, client.port)
-            assert status == 400
-
-        run(body)
-
-    def test_missing_experiment_400(self):
-        async def body(server, client):
-            resp = await asyncio.to_thread(
-                client._request, "POST", "/v1/run", {"scale": "quick"}
+    @pytest.mark.parametrize("method,path", [
+        ("POST", "/v1/run"),
+        ("GET", "/v1/experiments"),
+        ("POST", "/v1/sweep"),
+        ("GET", "/v1/sweep/abc"),
+        ("GET", "/explorer"),
+    ])
+    def test_retired_job_routes_404(self, method, path):
+        async def body(server):
+            status, _, _ = await asyncio.to_thread(
+                request, server.port, method, path, b"{}"
             )
-            assert resp.status == 400
+            assert status == 404
 
         run(body)
 
     def test_metrics_exposition(self):
-        async def body(server, client):
-            await asyncio.to_thread(client.run, "toy")
-            text = await asyncio.to_thread(client.metrics_text)
+        async def body(server):
+            status, _, _ = await asyncio.to_thread(
+                request, server.port, "GET", f"/v1/cache/{'ab' * 32}"
+            )
+            assert status == 404
+            text = await asyncio.to_thread(metrics_text, server.port)
             assert "# TYPE repro_requests_total counter" in text
-            assert 'repro_jobs_total{status="done"} 1' in text
+            # Per-key paths collapse to one label value.
+            assert 'repro_requests_total{endpoint="/v1/cache"} 1' in text
+            assert ('repro_cache_tier_requests_total{outcome="get_miss"} 1'
+                    in text)
             assert "repro_request_seconds_bucket" in text
+            # No injector: the chaos counters are absent entirely.
+            assert "repro_chaos_faults_total" not in text
 
         run(body)
 
 
-class TestRun:
-    def test_run_round_trip(self):
-        async def body(server, client):
-            resp = await asyncio.to_thread(
-                client.run, "toy", "quick", {"xs": [2, 3]}
-            )
-            assert resp.ok
-            assert resp.json["results"]["toy"]["values"] == [4, 9]
-            assert resp.json["reports"]["toy"] == "values=(4, 9)"
-            assert resp.headers["x-repro-coalesced"] == "0"
-            assert resp.cells_computed == 2
+class TestBuildServer:
+    def test_cli_args_build_a_tier_over_the_cache_dir(self, tmp_path):
+        args = build_parser().parse_args([
+            "serve", "--port", "0", "--cache-dir", str(tmp_path),
+        ])
+        server = build_server(args)
+        assert server.cache.root == tmp_path
+        assert server.injector is None
+        assert (server.host, server.port) == ("127.0.0.1", 0)
 
-        run(body)
-
-    def test_unknown_experiment_404(self):
-        from repro.serve.scheduler import default_plans_for
-
-        async def body(server, client):
-            resp = await asyncio.to_thread(client.run, "not-an-experiment")
-            assert resp.status == 404
-
-        # The real registry, not the toy one.
-        run(body, plans_for=default_plans_for)
-
-
-class TestCoalescingOverHttp:
-    def test_concurrent_identical_requests_coalesce(self):
-        async def body(server, client):
-            params = {"xs": [7], "gate": "coalesce-http"}
-            tasks = [
-                asyncio.create_task(asyncio.to_thread(
-                    client.run, "toy", "quick", params
-                ))
-                for _ in range(4)
-            ]
-            # The job is parked on the gate; wait until the three late
-            # twins have joined it, then let it finish.
-            await eventually(
-                lambda: server.scheduler.m_coalesced.total() == 3,
-                message="3 coalesced joiners",
-            )
-            _gate("coalesce-http").set()
-            results = await asyncio.gather(*tasks)
-            assert [r.status for r in results] == [200] * 4
-            assert len({r.body for r in results}) == 1
-            assert sorted(r.coalesced for r in results) == [
-                False, True, True, True,
-            ]
-            metrics = await asyncio.to_thread(client.metrics_text)
-            assert "repro_coalesced_joins_total 3" in metrics
-            assert 'repro_jobs_total{status="done"} 1' in metrics
-            assert server.scheduler.totals.computed == 1
-
-        run(body)
-
-
-class TestAdmissionOverHttp:
-    def test_queue_full_503_with_retry_after(self):
-        async def body(server, client):
-            running = asyncio.create_task(asyncio.to_thread(
-                client.run, "toy", "quick",
-                {"xs": [1], "gate": "admission-http"},
-            ))
-            # The gated job occupies the single worker...
-            await eventually(
-                lambda: len(server.scheduler._inflight) == 1
-                and server.scheduler._queue.qsize() == 0,
-                message="worker busy with the gated job",
-            )
-            queued = asyncio.create_task(asyncio.to_thread(
-                client.run, "toy", "quick", {"xs": [2]}
-            ))
-            # ...the next job fills the depth-1 queue...
-            await eventually(
-                lambda: server.scheduler._queue.qsize() == 1,
-                message="queue full",
-            )
-            # ...so a third is rejected immediately.
-            rejected = await asyncio.to_thread(
-                client.run, "toy", "quick", {"xs": [3]}
-            )
-            assert rejected.status == 503
-            assert rejected.headers["retry-after"] == "2.5"
-            assert json.loads(rejected.body)["error"].startswith("queue full")
-            _gate("admission-http").set()
-            assert (await running).status == 200
-            assert (await queued).status == 200
-            metrics = await asyncio.to_thread(client.metrics_text)
-            assert "repro_queue_rejected_total 1" in metrics
-
-        run(body, queue_depth=1, retry_after=2.5)
-
-
-class TestStreaming:
-    def test_ndjson_event_order_and_result(self):
-        async def body(server, client):
-            events = await asyncio.to_thread(
-                client.run_stream, "toy", "quick", {"xs": [1, 2]}
-            )
-            kinds = [e["event"] for e in events]
-            assert kinds == ["queued", "started", "cell-done", "cell-done",
-                            "finished", "result"]
-            queued = events[0]
-            assert queued["total_cells"] == 2
-            assert events[-1]["data"]["results"]["toy"]["values"] == [1, 4]
-            # Stream and plain bodies agree on the payload.
-            plain = await asyncio.to_thread(
-                client.run, "toy", "quick", {"xs": [1, 2]}
-            )
-            assert plain.json == events[-1]["data"]
-
-        run(body)
-
-    def test_stream_of_coalesced_request_replays_history(self):
-        async def body(server, client):
-            params = {"xs": [5], "gate": "stream-replay"}
-            first = asyncio.create_task(asyncio.to_thread(
-                client.run, "toy", "quick", params
-            ))
-            await eventually(
-                lambda: len(server.scheduler._inflight) == 1,
-                message="first request in flight",
-            )
-            stream = asyncio.create_task(asyncio.to_thread(
-                client.run_stream, "toy", "quick", params
-            ))
-            await eventually(
-                lambda: server.scheduler.m_coalesced.total() == 1,
-                message="stream joined the in-flight job",
-            )
-            _gate("stream-replay").set()
-            events = await stream
-            kinds = [e["event"] for e in events]
-            assert kinds[0] == "queued"  # replayed from history
-            assert kinds[-1] == "result"
-            assert (await first).status == 200
-
-        run(body)
+    def test_chaos_plan_arms_the_serve_sites(self, tmp_path):
+        args = build_parser().parse_args([
+            "serve", "--cache-dir", str(tmp_path),
+            "--chaos-plan", "serve.accept=0.5", "--chaos-seed", "3",
+        ])
+        server = build_server(args)
+        assert server.injector is not None
+        assert server.injector.plan.seed == 3
+        assert "repro_chaos_faults_total" in server.registry.metrics

@@ -207,21 +207,6 @@ class TestExecutor:
         parallel = Executor(jobs=2, cache=RunCache(tmp_path)).run(cells)
         assert serial == parallel
 
-    def test_progress_callback_fires_per_unique_cell(self, tmp_path):
-        events = []
-        cache = RunCache(tmp_path)
-        Executor(cache=cache).run([cell(SQ, x=4)])
-        ex = Executor(
-            cache=RunCache(tmp_path),
-            progress=lambda event, c: events.append((event, dict(c.kwargs))),
-        )
-        out = ex.run([cell(SQ, x=4), cell(SQ, x=5), cell(SQ, x=5)])
-        assert out == [16, 25, 25]
-        # One hit, one compute; the deduped twin fires nothing.
-        assert sorted(events) == [
-            ("cache_hit", {"x": 4}), ("computed", {"x": 5}),
-        ]
-
 
 class TestDagExecutor:
     """Dependency-aware scheduling: chains, diamonds, resume."""
@@ -297,19 +282,6 @@ class TestDagExecutor:
             assert ex._pool is pool  # warm workers reused
         assert ex._pool is None
 
-    def test_histograms_observe_compute_and_queue(self, tmp_path):
-        with Executor(jobs=2, cache=RunCache(tmp_path)) as ex:
-            ex.run([cell(SQ, x=i) for i in range(4)])
-        assert ex.compute_hist.count == 4
-        assert ex.queue_wait_hist.count == 4
-        assert ex.queue_wait_hist.total >= 0.0
-
-    def test_serial_observes_compute_only(self):
-        ex = Executor()
-        ex.run([cell(SQ, x=9)])
-        assert ex.compute_hist.count == 1
-        assert ex.queue_wait_hist.count == 0
-
 
 class TestBrokenPoolFallback:
     def test_crashed_workers_fall_back_to_serial(self, tmp_path):
@@ -375,9 +347,7 @@ class TestCacheLifecycle:
             "root": str(tmp_path / "nothing-here"), "entries": 0,
             "total_bytes": 0, "oldest_mtime": None, "newest_mtime": None,
             "corrupt_evictions": 0, "write_failures": 0, "quarantined": 0,
-            "quarantined_bytes": 0, "tier_hits": 0, "tier_misses": 0,
-            "tier_stores": 0, "tier_errors": 0,
-            "framed_entries": 0, "framed_bytes": 0,
+            "quarantined_bytes": 0, "framed_entries": 0, "framed_bytes": 0,
             "logical_bytes": 0, "compression_ratio": 1.0,
         }
 

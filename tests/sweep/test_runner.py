@@ -1,8 +1,8 @@
-"""SweepRun execution: determinism, waves, sources, cancel/resume.
+"""run_sweep execution: determinism, outcome shape, stats deltas.
 
-Toy cells (tests.sweep.fakes) keep the scheduling behaviour under test
-without the simulator; one integration test at the end runs a tiny real
-spec end to end against a warm cache.
+Toy cells (tests.sweep.fakes) keep the runner under test without the
+simulator; one integration test at the end runs a tiny real spec end
+to end against a warm cache.
 """
 
 import json
@@ -11,14 +11,7 @@ import pytest
 
 from repro.sim.cache import RunCache
 from repro.sim.jobs import Executor
-from repro.sweep.runner import (
-    CANCELLED,
-    DONE,
-    PENDING,
-    SweepCancelled,
-    SweepRun,
-    run_sweep,
-)
+from repro.sweep.runner import run_sweep
 from tests.sweep.fakes import ToySpec
 
 
@@ -27,10 +20,9 @@ def canonical(outcome: dict) -> bytes:
                       separators=(",", ":")).encode()
 
 
-def run_toy(executor: Executor, wave_points: int = 16, **spec_kwargs):
-    run = SweepRun(spec=ToySpec(**spec_kwargs), executor=executor,
-                   wave_points=wave_points)
-    return run.run(), run
+def run_toy(executor: Executor, **spec_kwargs) -> dict:
+    outcome, _stats = run_sweep(ToySpec(**spec_kwargs), executor)
+    return outcome
 
 
 class TestDeterminism:
@@ -38,8 +30,8 @@ class TestDeterminism:
         serial = Executor(jobs=1)
         parallel = Executor(jobs=2)
         try:
-            out1, _ = run_toy(serial, wave_points=2)
-            out2, _ = run_toy(parallel, wave_points=16)
+            out1 = run_toy(serial)
+            out2 = run_toy(parallel)
         finally:
             serial.close()
             parallel.close()
@@ -48,133 +40,33 @@ class TestDeterminism:
     def test_outcome_shape(self):
         executor = Executor(jobs=1)
         try:
-            out, run = run_toy(executor)
+            out = run_toy(executor)
         finally:
             executor.close()
         assert out["points"] == 6  # 3 policies x 2 schemes
         assert out["unique_cells"] == 6  # (native, sim) per policy
         assert len(out["cells"]) == 6
+        assert [m["label"] for m in out["cells"]] == [
+            p.label for p in ToySpec().points()
+        ]
         assert out["frontier_size"] == len(out["frontier"]) >= 1
         assert out["frontier_labels"] == [
             m["label"] for m in out["frontier"]
         ]
         assert set(out["contiguity_cdf"]) == {"w|p0", "w|p1", "w|p2"}
         assert set(out["walk_cycles"]) == {"w|p0", "w|p1", "w|p2"}
-        assert all(s == DONE for s in run.states)
-
-
-class TestWavesAndSources:
-    def test_events_in_point_order(self):
-        events = []
-        executor = Executor(jobs=1)
-        try:
-            run = SweepRun(spec=ToySpec(), executor=executor,
-                           on_event=events.append, wave_points=2)
-            run.run()
-        finally:
-            executor.close()
-        assert [e["event"] for e in events] == ["sweep-cell"] * 6
-        assert [e["done"] for e in events] == list(range(1, 7))
-        assert all(e["total"] == 6 for e in events)
-        labels = [f'{e["workload"]}/{e["policy"]}/{e["scheme"]}'
-                  for e in events]
-        assert labels == [p.label for p in run.points]
-
-    def test_scheme_fanout_marked_shared_across_waves(self):
-        # wave_points=1: the second scheme of each policy lands in a
-        # later wave with both its cells already resolved -> "shared".
-        executor = Executor(jobs=1)
-        try:
-            _, run = run_toy(executor, wave_points=1)
-        finally:
-            executor.close()
-        assert run.sources == ["computed", "shared"] * 3
-
-    def test_warm_cache_marks_cached(self, tmp_path):
-        for expected in ("computed", "cached"):
-            executor = Executor(jobs=1, cache=RunCache(tmp_path))
-            try:
-                _, run = run_toy(executor)
-            finally:
-                executor.close()
-            assert set(run.sources) == {expected}
-
-    def test_status_snapshot(self):
-        executor = Executor(jobs=1)
-        try:
-            _, run = run_toy(executor)
-        finally:
-            executor.close()
-        status = run.status()
-        assert status["points"] == 6
-        assert status["states"] == {DONE: 6}
-        assert status["cells"][0]["point"] == run.points[0].as_dict()
-
-
-class TestCancelResume:
-    def test_cancel_before_run_is_sticky(self):
-        events = []
-        executor = Executor(jobs=1)
-        try:
-            run = SweepRun(spec=ToySpec(), executor=executor,
-                           on_event=events.append)
-            run.cancel()
-            with pytest.raises(SweepCancelled):
-                run.run()
-        finally:
-            executor.close()
-        assert executor.stats.computed == 0
-        assert set(run.states) == {CANCELLED}
-        assert events[-1]["event"] == "sweep-cancelled"
-        assert events[-1]["done"] == 0
-
-    def test_mid_run_cancel_then_resume_from_cache(self, tmp_path):
-        cache_kwargs = {"cache": RunCache(tmp_path)}
-        executor = Executor(jobs=1, **cache_kwargs)
-        holder = {}
-
-        def cancel_after_first(event):
-            if event.get("event") == "sweep-cell":
-                holder["run"].cancel()
-
-        try:
-            run = SweepRun(spec=ToySpec(), executor=executor,
-                           on_event=cancel_after_first, wave_points=2)
-            holder["run"] = run
-            with pytest.raises(SweepCancelled, match="2/6"):
-                run.run()
-            computed_before_resume = executor.stats.computed
-            assert run.states[:2] == [DONE, DONE]
-            assert CANCELLED in run.states or PENDING in run.states
-
-            # Resume = a fresh run over the same spec and warm cache:
-            # the finished wave replays for free.
-            resumed = SweepRun(spec=ToySpec(), executor=executor)
-            outcome = resumed.run()
-        finally:
-            executor.close()
-        assert all(s == DONE for s in resumed.states)
-        # Only the cells the cancelled run never reached were computed.
-        assert (executor.stats.computed
-                == computed_before_resume + 4)  # 2 of 3 policies' pairs
-
-        # And the resumed outcome matches an uninterrupted clean run.
-        clean_exec = Executor(jobs=1)
-        try:
-            clean, _ = run_toy(clean_exec)
-        finally:
-            clean_exec.close()
-        assert canonical(outcome) == canonical(clean)
 
 
 class TestRunSweepStats:
     def test_stats_deltas(self, tmp_path):
         executor = Executor(jobs=1, cache=RunCache(tmp_path))
         try:
-            _, cold, _ = run_sweep(ToySpec(), executor)
-            _, warm, _ = run_sweep(ToySpec(), executor)
+            _, cold = run_sweep(ToySpec(), executor)
+            _, warm = run_sweep(ToySpec(), executor)
         finally:
             executor.close()
+        # One batch of the unique cells: each is submitted once.
+        assert cold.submitted == 6
         assert cold.computed == 6
         assert warm.computed == 0
         assert warm.cache_hits == 6
@@ -191,8 +83,8 @@ class TestRealSpec:
         })
         executor = Executor(jobs=1, cache=RunCache(tmp_path))
         try:
-            out1, cold, _ = run_sweep(spec, executor)
-            out2, warm, _ = run_sweep(spec, executor)
+            out1, cold = run_sweep(spec, executor)
+            out2, warm = run_sweep(spec, executor)
         finally:
             executor.close()
         assert out1["points"] == 4  # one policy, all four schemes
