@@ -64,22 +64,14 @@ def _run_grid(experiments: Sequence[str], scale_name: str, jobs: int,
     """One grid pass; returns (canonical result bytes, stats dict)."""
     import dataclasses
 
-    from repro.cli import SCALES, suite_plans
-    from repro.experiments.serialize import to_jsonable
+    from repro.cli import SCALES, run_suite_grid
     from repro.sim.cache import RunCache
-    from repro.sim.jobs import Executor, run_plans
+    from repro.sim.jobs import Executor
 
     cache = RunCache(cache_dir, injector=injector, tier=tier)
     executor = Executor(jobs=jobs, cache=cache, injector=injector,
                         max_attempts=6, backoff_base=0.01)
-    entries = suite_plans(SCALES[scale_name], list(experiments))
-    results = run_plans([plan for _, _, plan in entries], executor)
-    payload = {
-        key: to_jsonable(result)
-        for (_, key, _), result in zip(entries, results)
-    }
-    body = json.dumps(payload, sort_keys=True,
-                      separators=(",", ":")).encode()
+    body, _ = run_suite_grid(SCALES[scale_name], list(experiments), executor)
     stats = dataclasses.asdict(executor.stats)
     stats["cache"] = {
         "hits": cache.hits, "misses": cache.misses,

@@ -6,8 +6,8 @@ Usage::
     python -m repro run fig7 --scale quick
     python -m repro run fig13 fig14 --scale default --jobs 4
     python -m repro suite --scale quick --jobs 8
-    python -m repro bench --scale default --out BENCH_engine.json
-    python -m repro bench-suite --scale quick --out BENCH_suite.json
+    python -m repro bench --scale quick --out BENCH_suite.json
+    python -m repro bench --scale paper --out BENCH_paper.json
     python -m repro serve --port 8377 --cache-dir /srv/repro-cache
     python -m repro suite --cache-url http://127.0.0.1:8377
     python -m repro sweep --policies thp,ca --workloads svm,pagerank
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
+import math
 import os
 import sys
 import time
@@ -89,6 +91,30 @@ def suite_plans(scale, names=None) -> list[tuple[str, str, "object"]]:
         for key, plan in experiment_plans(name, scale):
             entries.append((name, key, plan))
     return entries
+
+
+def run_suite_grid(scale, names, executor) -> tuple[bytes, float]:
+    """Run ``names``' plans through ``executor``.
+
+    Returns the canonical JSON bytes of their results (what
+    ``results_sha256`` hashes) and the seconds planning and running
+    took, canonicalizing excluded.  The caller builds and owns
+    ``executor``, so the bench and the chaos soak pick their own cache,
+    tier, retries and injector.
+    """
+    from repro.experiments.serialize import to_jsonable
+    from repro.sim.jobs import run_plans
+
+    started = time.perf_counter()
+    entries = suite_plans(scale, names)
+    results = run_plans([plan for _, _, plan in entries], executor)
+    seconds = time.perf_counter() - started
+    payload = {
+        key: to_jsonable(result)
+        for (_, key, _), result in zip(entries, results)
+    }
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return blob.encode(), seconds
 
 
 def make_injector(args):
@@ -208,137 +234,98 @@ def _cmd_suite(args) -> int:
     return _run_experiments(list(EXPERIMENTS), args)
 
 
-def _cmd_bench(args) -> int:
-    import os
-
-    from repro.bench import BENCH_SCALES, run_bench, write_report
-
-    scale_name = args.scale or os.environ.get("REPRO_BENCH_SCALE", "default")
-    if scale_name not in BENCH_SCALES:
-        print(f"unknown bench scale {scale_name!r}; "
-              f"choose from {sorted(BENCH_SCALES)}", file=sys.stderr)
-        return 2
-    print(f"=== bench: engine A/B (scale={scale_name}, "
-          f"workload={args.workload}) ===")
-    report = run_bench(
-        scale_name, args.workload, args.trace_len, fault_steps=args.fault_steps
-    )
-    out = write_report(report, args.out)
-    fault = report["fault_path"]
-    if scale_name == "paper":
-        fast = fault["fast"]
-        print(f"fault path [paper/{fault['policy']}]: fast "
-              f"{fast['seconds']:.1f}s for {fast['faults']:,} faults "
-              f"({fast['faults_per_sec']:,.0f}/s)")
-        print(f"scalar projected: {fault['scalar_projected_seconds']:.0f}s "
-              f"(budget {fault['budget_seconds']:.0f}s)")
-        print(f"fast in budget: {fault['fast_in_budget']}, "
-              f"scalar in budget: {fault['scalar_in_budget']}")
-        print(f"fault-path speedup (projected scalar / fast): "
-              f"{report['fault_speedup']}x")
-        print(f"[saved {out} in {report['wall_seconds']}s]")
-        if not fault["fast_in_budget"]:
-            print("fast paper-tier run blew the budget", file=sys.stderr)
-            return 1
-        if args.min_fault_speedup and report["fault_speedup"] < args.min_fault_speedup:
-            print(f"fault-path speedup {report['fault_speedup']}x below required "
-                  f"{args.min_fault_speedup}x", file=sys.stderr)
-            return 1
-        return 0
-    for policy, row in fault["policies"].items():
-        print(f"fault path [{policy:>6}]: scalar {row['scalar']['seconds']:.2f}s"
-              f" -> fast {row['fast']['seconds']:.2f}s"
-              f" ({row['speedup']}x, identical={row['engines_identical']})")
-    print(f"fault path aggregate: {report['fault_speedup']}x faults/sec")
-    for name, row in report["replay"]["states"].items():
-        print(f"replay [{name}]: {row['scalar_accesses_per_sec']:.0f}"
-              f" -> {row['vector_accesses_per_sec']:.0f} accesses/sec"
-              f" ({row['speedup']}x, identical={row['engines_identical']})")
-    print(f"replay speedup (min over states): {report['replay_speedup']}x")
-    for name, row in report["walk_path"]["states"].items():
-        print(f"walk path [{name}]: {row['scalar_walks_per_sec']:.0f}"
-              f" -> {row['vector_walks_per_sec']:.0f} walks/sec"
-              f" (miss rate {row['miss_rate']}, {row['speedup']}x, "
-              f"identical={row['engines_identical']})")
-    print(f"walk-path speedup (min over states): {report['walk_speedup']}x")
-    print(f"engines identical: {report['engines_identical']}")
-    print(f"[saved {out} in {report['wall_seconds']}s]")
-    if not report["engines_identical"]:
-        return 1
-    if args.min_walk_speedup and report["walk_speedup"] < args.min_walk_speedup:
-        print(f"walk-path speedup {report['walk_speedup']}x below required "
-              f"{args.min_walk_speedup}x", file=sys.stderr)
-        return 1
-    if args.min_fault_speedup and report["fault_speedup"] < args.min_fault_speedup:
-        print(f"fault-path speedup {report['fault_speedup']}x below required "
-              f"{args.min_fault_speedup}x", file=sys.stderr)
-        return 1
-    return 0
+#: ``repro bench`` flags that only the suite form reads.
+SUITE_BENCH_FLAGS = ("jobs", "experiments", "cache_dir",
+                     "min_warm_speedup", "min_cold_speedup")
 
 
-def _cmd_bench_suite(args) -> int:
-    from repro.bench import run_suite_bench, write_report
-
+def _bench_flag_error(args) -> str | None:
+    """Why the given flags do not fit the chosen bench form, or None."""
+    dests = SUITE_BENCH_FLAGS if args.scale == "paper" else ("fault_steps",)
+    wrong = [f"--{dest.replace('_', '-')}" for dest in dests
+             if getattr(args, dest) is not None]
+    if wrong:
+        return f"--scale {args.scale} takes no {', '.join(wrong)}"
     for name in args.experiments or ():
         if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; try `python -m repro list`",
-                  file=sys.stderr)
-            return 2
-    print(f"=== bench-suite: orchestrator serial/cold/warm/two-tier "
-          f"(scale={args.scale}, jobs={args.jobs or 'auto'}) ===")
-    report = run_suite_bench(
-        args.scale,
-        jobs=args.jobs,
-        experiments=tuple(args.experiments) if args.experiments else None,
-        cache_root=args.cache_dir,
-    )
-    for mode, row in report["modes"].items():
-        s = row["stats"]
-        extra = (
-            f" ({row['speedup_vs_serial']}x vs serial)"
-            if "speedup_vs_serial" in row else ""
-        )
-        tier = s.get("tier")
-        tier_note = (
-            f"; tier {tier['hits']}h/{tier['stores']}s/{tier['errors']}e"
-            if tier else ""
-        )
-        print(f"{mode:>13}: {row['seconds']:.2f}s{extra} — "
-              f"{s['computed']} computed, {s['cache_hits']} cached, "
-              f"{s['deduped']} deduped of {s['submitted']}{tier_note}")
-    print(f"two-tier federation: {report['two_tier_hits']} cell(s) "
-          f"served by the shared tier, {report['two_tier_computed']} "
-          f"recomputed")
-    ser = report["serialize"]
-    print(f"serialize overhead: {ser['total_bytes']:,} bytes across "
-          f"{ser['cells_measured']} cells in {ser['total_seconds']:.3f}s "
-          f"({ser['share_of_cold'] * 100:.1f}% of the cold pass per pickling)")
-    for row in ser["top_cells"][:3]:
-        print(f"  heaviest: {row['cell']} — {row['bytes']:,} bytes "
-              f"({row['seconds'] * 1000:.1f} ms)")
-    print(f"results identical across modes: {report['results_identical']}")
-    out = write_report(report, args.out)
-    print(f"[saved {out} in {report['wall_seconds']}s]")
-    ok = report["results_identical"]
-    if report["two_tier_computed"] != 0:
-        print(f"two-tier pass recomputed {report['two_tier_computed']} "
-              f"cell(s) the shared tier should have served",
-              file=sys.stderr)
-        ok = False
+            return f"unknown experiment {name!r}; try `python -m repro list`"
+    return None
+
+
+def _suite_gate(report, args) -> list[str]:
+    """The suite form's failed gates (empty when it passes)."""
+    failures = []
+    if not report["results_identical"]:
+        failures.append("pass results are not byte-identical")
+    computed = report["passes"]["two_tier_cold"]["stats"]["computed"]
+    if computed:
+        failures.append(f"two-tier pass recomputed {computed} cell(s) "
+                        f"the shared tier should have served")
     if args.min_warm_speedup and report["warm_speedup"] < args.min_warm_speedup:
-        print(f"warm speedup {report['warm_speedup']}x below gate "
-              f"{args.min_warm_speedup}x", file=sys.stderr)
-        ok = False
+        failures.append(f"warm speedup {report['warm_speedup']}x below gate "
+                        f"{args.min_warm_speedup}x")
     if args.min_cold_speedup:
+        env = report["env"]
         if not report["parallel_gate_meaningful"]:
             print(f"[skipping --min-cold-speedup {args.min_cold_speedup}x "
-                  f"gate: only {report['cpus']} cpu(s); parallel-vs-serial "
-                  f"is meaningless without >=2 cores]")
+                  f"gate: jobs={env['jobs']} on {env['cpus']} cpu(s); "
+                  f"parallel-vs-serial needs >=2 of both]")
         elif report["cold_speedup"] < args.min_cold_speedup:
-            print(f"cold speedup {report['cold_speedup']}x below gate "
-                  f"{args.min_cold_speedup}x", file=sys.stderr)
-            ok = False
-    return 0 if ok else 1
+            failures.append(f"cold speedup {report['cold_speedup']}x below "
+                            f"gate {args.min_cold_speedup}x")
+    return failures
+
+
+def _cmd_bench(args) -> int:
+    from repro.bench import run_paper_bench, run_suite_bench, write_report
+
+    error = _bench_flag_error(args)
+    if error:
+        print(f"repro bench: {error}", file=sys.stderr)
+        return 2
+    paper = args.scale == "paper"
+    if paper:
+        print("=== bench: paper fault cell (ingens/bt, fast engine) ===")
+        report = run_paper_bench(fault_steps=args.fault_steps)
+    else:
+        print(f"=== bench: suite serial/cold/warm/two-tier "
+              f"(scale={args.scale}, jobs={args.jobs or 'auto'}) ===")
+        report = run_suite_bench(
+            args.scale,
+            jobs=args.jobs,
+            experiments=tuple(args.experiments) if args.experiments else None,
+            cache_root=args.cache_dir,
+        )
+    for name, row in report["passes"].items():
+        s = row["stats"]
+        if paper:
+            detail = (f"{s['faults']:,} faults ({s['faults_per_sec']:,.0f}/s) "
+                      f"in {s['steps']} of {s['total_steps']} steps")
+        else:
+            detail = (f"{s['computed']} computed, {s['cache_hits']} cached, "
+                      f"{s['deduped']} deduped of {s['submitted']}")
+            tier = s.get("tier")
+            if tier:
+                detail += (f"; tier {tier['hits']}h/{tier['stores']}s/"
+                           f"{tier['errors']}e")
+        print(f"{name:>13}: {row['seconds']:.2f}s — {detail}")
+    if paper:
+        print(f"state sha256: {report['state_sha256']}")
+        print(f"in budget ({report['budget_seconds']:.0f}s): "
+              f"{report['in_budget']}")
+        failures = [] if report["in_budget"] else [
+            "the paper fault cell blew its budget"
+        ]
+    else:
+        print(f"results identical across passes: "
+              f"{report['results_identical']} "
+              f"(sha256 {report['results_sha256']})")
+        failures = _suite_gate(report, args)
+    out = write_report(report, args.out)
+    print(f"[saved {out} in {report['wall_seconds']}s]")
+    for failure in failures:
+        print(failure, file=sys.stderr)
+    return 1 if failures else 0
 
 
 def parse_size(text: str) -> int:
@@ -355,6 +342,8 @@ def parse_size(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"not a size: {text!r} (expected e.g. 1000000, 500M, 2G)"
         ) from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"size must be finite, got {text!r}")
     if value < 0:
         raise argparse.ArgumentTypeError("size must be >= 0")
     return int(value * factor)
@@ -583,79 +572,48 @@ def build_parser() -> argparse.ArgumentParser:
     suite_p.set_defaults(func=_cmd_suite)
 
     bench_p = sub.add_parser(
-        "bench", help="A/B the scalar vs batched simulation engines"
+        "bench",
+        help="time the suite serial/cold/warm/two-tier, or the paper "
+             "fault cell (--scale paper)",
     )
     bench_p.add_argument(
-        "--scale", default=None,
-        help="bench scale: test/quick/default/big/paper (default: "
-             "$REPRO_BENCH_SCALE or default); 'paper' runs the "
-             "face-value fault phase only (fast full run + "
-             "scalar-engine projection)",
+        "--scale", choices=[*sorted(SCALES), "paper"], default="quick",
+        help="scale profile (default: quick); 'paper' runs the "
+             "face-value fault cell (Ingens on bt) instead of the suite",
     )
     bench_p.add_argument(
-        "--workload", default="svm", help="workload to replay (default: svm)",
-    )
-    bench_p.add_argument(
-        "--trace-len", type=int, default=200_000,
-        help="replay-phase trace length (default: 200000)",
-    )
-    bench_p.add_argument(
-        "--out", default="BENCH_engine.json", metavar="FILE",
-        help="JSON report path (default: BENCH_engine.json)",
-    )
-    bench_p.add_argument(
-        "--min-walk-speedup", type=float, default=None, metavar="X",
-        help="exit nonzero unless the walk-path phase beats the scalar "
-             "engine by at least this factor (CI gate)",
-    )
-    bench_p.add_argument(
-        "--min-fault-speedup", type=float, default=None, metavar="X",
-        help="exit nonzero unless the fault phase's fast engine "
-             "beats the scalar engine by at least this factor (CI gate)",
-    )
-    bench_p.add_argument(
-        "--fault-steps", type=int, default=None, metavar="N",
-        help="cap the fault phase at N allocation steps per engine "
-             "(CI smoke for the paper scale; default: all steps)",
-    )
-    bench_p.set_defaults(func=_cmd_bench)
-
-    suite_bench_p = sub.add_parser(
-        "bench-suite",
-        help="A/B/C the orchestrator: serial vs parallel-cold vs warm",
-    )
-    suite_bench_p.add_argument(
-        "--scale", choices=sorted(SCALES), default="quick",
-        help="scale profile (default: quick)",
-    )
-    suite_bench_p.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="fan-out width for the parallel passes (default: all cores)",
     )
-    suite_bench_p.add_argument(
+    bench_p.add_argument(
         "--experiments", nargs="*", default=None, metavar="NAME",
         help="subset of experiments to bench (default: the whole suite)",
     )
-    suite_bench_p.add_argument(
+    bench_p.add_argument(
         "--cache-dir", metavar="DIR", default=None,
         help="scratch cache directory — cleared before the cold pass "
              "(default: a private temp dir)",
     )
-    suite_bench_p.add_argument(
+    bench_p.add_argument(
         "--out", default="BENCH_suite.json", metavar="FILE",
         help="JSON report path (default: BENCH_suite.json)",
     )
-    suite_bench_p.add_argument(
-        "--min-warm-speedup", type=float, default=0.0, metavar="X",
+    bench_p.add_argument(
+        "--min-warm-speedup", type=float, default=None, metavar="X",
         help="fail unless the warm pass beats serial by at least X times",
     )
-    suite_bench_p.add_argument(
-        "--min-cold-speedup", type=float, default=0.0, metavar="X",
+    bench_p.add_argument(
+        "--min-cold-speedup", type=float, default=None, metavar="X",
         help="fail unless the parallel-cold pass beats serial by at "
-             "least X times (skipped with a note on single-CPU boxes, "
-             "where the comparison is meaningless)",
+             "least X times (skipped with a note unless both --jobs and "
+             "the CPU count are >= 2)",
     )
-    suite_bench_p.set_defaults(func=_cmd_bench_suite)
+    bench_p.add_argument(
+        "--fault-steps", type=int, default=None, metavar="N",
+        help="cap the paper fault cell at N allocation steps (CI smoke; "
+             "default: all steps)",
+    )
+    bench_p.set_defaults(func=_cmd_bench)
 
     serve_p = sub.add_parser(
         "serve", help="serve a run cache as the shared tier other "

@@ -89,8 +89,8 @@ class SystemConfig:
     seed: int = 42
     #: Kernel simulation engine: ``"fast"`` (batched span faulting and
     #: batched hot paths) or ``"scalar"`` (reference page-at-a-time
-    #: paths).  Identical observable behaviour; the bench harness A/Bs
-    #: them.
+    #: paths).  Identical observable behaviour, which the tier-1
+    #: engine differential tests check.
     engine: str = "fast"
 
     def __post_init__(self) -> None:

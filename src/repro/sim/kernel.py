@@ -165,8 +165,8 @@ class Kernel:
         #: through bulk buddy pops and policy ``on_fault_batch`` hooks,
         #: leaf-order fork, region-batched promotion); ``"scalar"``
         #: routes the reference page-at-a-time paths.  The observable
-        #: state and counters are identical; the bench harness A/Bs the
-        #: engines.
+        #: state and counters are identical (the tier-1 engine
+        #: differential tests check this).
         self.engine = engine
         #: True when the bound policy overrides ``on_fault_batch`` (the
         #: span fault path then claims whole order-0 batches).

@@ -23,7 +23,7 @@ Stream *families* group machines by input shape:
 - ``ds``   — ``(in_segment_mask,)``.
 
 The state observers double as the shared vocabulary for the end-to-end
-MmuSimulator tests (``test_walk_vector.py``) and the engine A/B bench.
+MmuSimulator tests (``test_walk_vector.py``).
 """
 
 from __future__ import annotations

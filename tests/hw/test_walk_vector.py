@@ -20,13 +20,14 @@ from repro.hw.translation import TranslationView
 from repro.sim.config import HardwareConfig
 from tests.hw.conformance import (
     ctlb_state,
+    hier_state,
     rmm_state,
     seg_state,
     spot_state,
     utopia_state,
     walk_state,
 )
-from tests.hw.test_engine_differential import native_state
+from tests.hw.test_engine_differential import native_state, virt_state
 
 HW_CONFIGS = [
     HardwareConfig(),
@@ -71,6 +72,12 @@ def native():
     return wl, r, wl.trace(20_000)
 
 
+@pytest.fixture(scope="module")
+def virt():
+    vm, wl, r = virt_state()
+    return vm, wl, r, wl.trace(20_000)
+
+
 class TestMmuSimulatorWalkPath:
     @pytest.mark.parametrize("hw", HW_CONFIGS, ids=HW_IDS)
     def test_scheme_switches_differential(self, native, hw):
@@ -107,16 +114,26 @@ class TestMmuSimulatorWalkPath:
         assert 0 <= res.ctlb_uncovered <= res.walks
         assert 0 <= res.seg_outside <= res.walks
 
-    def test_with_walk_simulator(self, native):
-        wl, r, trace = native
-        view = TranslationView.native(r.process, force_4k=True)
+    @pytest.mark.parametrize("virtualized", [False, True],
+                             ids=["native_4k", "virt_4k"])
+    def test_with_walk_simulator(self, request, virtualized):
+        """Every access walks (forced 4K) through the mechanistic walk
+        coster; on the CA+CA guest it also runs the nested TLB."""
+        if virtualized:
+            vm, wl, r, trace = request.getfixturevalue("virt")
+            view = TranslationView.virtualized(vm, r.process, force_4k=True)
+        else:
+            wl, r, trace = request.getfixturevalue("native")
+            view = TranslationView.native(r.process, force_4k=True)
         results = {}
-        wstates = {}
+        states = {}
         for engine in ("scalar", "vector"):
-            ws = WalkSimulator(virtualized=False)
+            ws = WalkSimulator(virtualized=virtualized)
             sim = MmuSimulator(view, HardwareConfig(), walk_sim=ws, engine=engine)
             results[engine] = asdict(sim.run(trace, r.vma_start_vpns, workload=wl))
-            wstates[engine] = walk_state(ws)
+            states[engine] = (
+                walk_state(ws), sim_states(sim), hier_state(sim.tlb)
+            )
         assert results["scalar"] == results["vector"]
         assert results["vector"]["measured_avg_walk_cycles"] is not None
-        assert wstates["scalar"] == wstates["vector"]
+        assert states["scalar"] == states["vector"]

@@ -1,4 +1,4 @@
-"""CLI surface of the cache tier: serve/cache commands, size parsing."""
+"""CLI surface: serve/cache commands, size parsing, retired commands."""
 
 import argparse
 
@@ -25,6 +25,11 @@ class TestParseSize:
             parse_size("lots")
         with pytest.raises(argparse.ArgumentTypeError):
             parse_size("-5M")
+
+    @pytest.mark.parametrize("text", ["inf", "1e400", "nan", "-inf", "infM"])
+    def test_rejects_non_finite(self, text):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_size(text)
 
 
 class TestCacheCommands:
@@ -75,6 +80,11 @@ class TestParserWiring:
         ["sweep", "--stream"],
         ["sweep", "--host", "127.0.0.1"],
         ["sweep", "--port", "8377"],
+        ["bench-suite"],
+        ["bench", "--workload", "svm"],
+        ["bench", "--trace-len", "10"],
+        ["bench", "--min-walk-speedup", "2"],
+        ["bench", "--min-fault-speedup", "5"],
     ])
     def test_retired_job_api_surface_is_gone(self, argv):
         with pytest.raises(SystemExit):

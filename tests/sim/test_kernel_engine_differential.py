@@ -2,8 +2,9 @@
 
 The batched fault/promotion paths must be *observably identical* to the
 per-page reference: same fault counts and latencies, same mapping runs,
-same policy decisions, same free memory.  Anything less and the bench's
-speedup numbers compare different systems.  Policies without an
+same policy decisions, same free memory.  This is the identity half of
+the engine split: the benches time only the ``fast`` engine, so it must
+do the reference's work exactly.  Policies without an
 ``on_fault_batch`` hook (eager, ranger, ideal) cover the span path's
 per-leaf fallback.
 """
