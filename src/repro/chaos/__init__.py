@@ -1,8 +1,10 @@
 """Deterministic fault injection and the injectable clock.
 
+A test seam, not a user-facing mode: tests hand a
+:class:`FaultInjector` to the run cache, executor or cache-tier server
+and check that every fault is recovered with byte-identical results.
 See ``docs/robustness.md`` for the site/recovery contract and
-:mod:`repro.chaos.soak` for the end-to-end determinism-under-fault
-check (``repro chaos-soak``).
+``tests/chaos/`` for the proofs.
 """
 
 from repro.chaos.clock import CLOCK, Clock, FakeClock

@@ -10,8 +10,14 @@ Decisions are **hash-based, not sequential**: whether a fault fires at
 ``(site, token)`` is a pure function of ``(seed, site, token)``, so the
 outcome does not depend on thread scheduling, pool harvest order or how
 many other sites fired first.  Same seed and same work ⇒ same faults,
-which is what makes ``repro chaos-soak`` reproducible and lets the
+which is what makes fault traces reproducible and lets the
 differential tests assert byte-identical results under fault load.
+
+Injection is a test seam: no command-line flag arms it.  Tests build a
+plan (``FaultPlan(...)`` or :meth:`FaultPlan.uniform`) and pass the
+injector to :class:`~repro.sim.cache.RunCache`,
+:class:`~repro.sim.jobs.Executor` or
+:class:`~repro.serve.server.ReproServer`.
 
 Sites (see ``docs/robustness.md`` for the recovery contract of each):
 
@@ -86,41 +92,6 @@ class FaultPlan:
                 sites: tuple[str, ...] = SITES) -> "FaultPlan":
         """One probability applied to every (listed) site."""
         return cls(tuple((site, p) for site in sites), seed=seed)
-
-    @classmethod
-    def parse(cls, spec: str, seed: int = 0) -> "FaultPlan":
-        """Parse a CLI plan spec.
-
-        Either a bare probability applied to all sites (``"0.2"``) or a
-        comma list of ``site=p`` entries
-        (``"cache.read=0.1,pool.worker=0.3"``).
-        """
-        spec = str(spec).strip()
-        if not spec:
-            raise ConfigError("empty fault plan spec")
-        if "=" not in spec:
-            try:
-                p = float(spec)
-            except ValueError:
-                raise ConfigError(
-                    f"fault plan must be a probability or site=p list, "
-                    f"got {spec!r}"
-                ) from None
-            return cls.uniform(p, seed=seed)
-        entries = []
-        for item in spec.split(","):
-            site, sep, value = item.partition("=")
-            site = site.strip()
-            if not sep:
-                raise ConfigError(f"bad fault plan entry {item!r}")
-            try:
-                p = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"bad probability in fault plan entry {item!r}"
-                ) from None
-            entries.append((site, p))
-        return cls(tuple(entries), seed=seed)
 
     def p(self, site: str) -> float:
         """The firing probability configured for ``site`` (0 if unset)."""

@@ -13,8 +13,6 @@ Usage::
     python -m repro sweep --policies thp,ca --workloads svm,pagerank
     python -m repro cache stats
     python -m repro cache prune --max-bytes 500M
-    python -m repro run fig9 --chaos-plan 0.2 --chaos-seed 7
-    python -m repro chaos-soak --quick --out CHAOS_TRACE.json
 
 Experiments decompose into run cells (see :mod:`repro.sim.jobs`);
 ``--jobs N`` fans the cells of all requested experiments out over N
@@ -99,8 +97,8 @@ def run_suite_grid(scale, names, executor) -> tuple[bytes, float]:
     Returns the canonical JSON bytes of their results (what
     ``results_sha256`` hashes) and the seconds planning and running
     took, canonicalizing excluded.  The caller builds and owns
-    ``executor``, so the bench and the chaos soak pick their own cache,
-    tier, retries and injector.
+    ``executor``, so the bench and the fault-injection tests pick their
+    own cache, tier, retries and injector.
     """
     from repro.experiments.serialize import to_jsonable
     from repro.sim.jobs import run_plans
@@ -117,21 +115,8 @@ def run_suite_grid(scale, names, executor) -> tuple[bytes, float]:
     return blob.encode(), seconds
 
 
-def make_injector(args):
-    """Build the chaos injector ``--chaos-plan``/``--chaos-seed``
-    describe (``None`` when chaos is off — the default)."""
-    spec = getattr(args, "chaos_plan", None)
-    if not spec:
-        return None
-    from repro.chaos import FaultInjector, FaultPlan
-
-    return FaultInjector(FaultPlan.parse(
-        spec, seed=getattr(args, "chaos_seed", 0) or 0
-    ))
-
-
-def make_executor(args, injector=None):
-    """Build the Executor the ``--jobs``/cache/chaos flags describe."""
+def make_executor(args):
+    """Build the Executor the ``--jobs``/cache flags describe."""
     from repro.sim.cache import HttpCacheTier, RunCache
     from repro.sim.jobs import Executor
 
@@ -141,10 +126,8 @@ def make_executor(args, injector=None):
         cache_url = getattr(args, "cache_url", None)
         if cache_url:
             tier = HttpCacheTier(cache_url)
-        cache = RunCache(getattr(args, "cache_dir", None), injector=injector,
-                         tier=tier)
-    return Executor(jobs=getattr(args, "jobs", None) or 1, cache=cache,
-                    injector=injector)
+        cache = RunCache(getattr(args, "cache_dir", None), tier=tier)
+    return Executor(jobs=getattr(args, "jobs", None) or 1, cache=cache)
 
 
 def _run_experiments(names: list[str], args) -> int:
@@ -152,8 +135,7 @@ def _run_experiments(names: list[str], args) -> int:
 
     scale = SCALES[args.scale]
     json_dir = _json_dir(args)
-    injector = make_injector(args)
-    executor = make_executor(args, injector=injector)
+    executor = make_executor(args)
     started = time.time()
     entries = suite_plans(scale, names)
     try:
@@ -190,17 +172,6 @@ def _run_experiments(names: list[str], args) -> int:
               f"{cache.tier_misses} miss(es), "
               f"{cache.tier_stores} store(s), "
               f"{cache.tier_errors} error(s)]")
-    if injector is not None:
-        fired = sum(injector.fired_by_site().values())
-        unrecovered = injector.unrecovered()
-        print(f"[chaos: {fired} fault(s) fired "
-              f"({injector.fired_by_site()}), "
-              f"{len(unrecovered)} unrecovered]")
-        if unrecovered:
-            for record in unrecovered:
-                print(f"  UNRECOVERED {record.site} @ {record.token}",
-                      file=sys.stderr)
-            return 1
     return 0
 
 
@@ -356,44 +327,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_chaos_soak(args) -> int:
-    from repro.chaos.soak import run_soak, write_trace
-
-    for name in args.experiments or ():
-        if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; try `python -m repro list`",
-                  file=sys.stderr)
-            return 2
-    print(f"=== chaos-soak: determinism under faults "
-          f"(scale={args.scale}, plan={args.plan}, seed={args.seed}) ===")
-    report = run_soak(
-        scale=args.scale,
-        experiments=tuple(args.experiments) if args.experiments else None,
-        plan_spec=args.plan, seed=args.seed, jobs=args.jobs,
-        serve=not args.skip_serve, quick=args.quick,
-    )
-    out = write_trace(report, args.out)
-    if "error" in report:
-        print(f"UNHANDLED: {report['error']}", file=sys.stderr)
-    else:
-        print(f" grid: {report['experiments']} — byte-identical across "
-              f"clean/chaos-A/chaos-B: {report['identical_grid']}")
-        print(f" trace: {report['total_faults_fired']} fault(s) fired "
-              f"{report['faults_fired']}; "
-              f"deterministic={report['trace_deterministic']}; "
-              f"unrecovered={sum(len(v) for v in report['unrecovered'].values())}")
-        serve = report["serve"]
-        if serve.get("enabled"):
-            tier = serve["stats"]["tier"]
-            print(f" serve: grid through the tier matches clean: "
-                  f"{serve['identical_grid']}; tier {tier['hits']}h/"
-                  f"{tier['misses']}m/{tier['stores']}s/{tier['errors']}e; "
-                  f"faults {report['faults_fired'].get('serve', {})}")
-    print(f"[saved {out} in {report['wall_seconds']}s]")
-    print(f"chaos-soak: {'OK' if report['ok'] else 'FAILED'}")
-    return 0 if report["ok"] else 1
-
-
 def _cmd_cache_stats(args) -> int:
     from repro.sim.cache import RunCache
 
@@ -474,8 +407,7 @@ def _cmd_sweep(args) -> int:
     except SweepValidationError as exc:
         print(f"bad sweep: {exc}", file=sys.stderr)
         return 2
-    injector = make_injector(args)
-    executor = make_executor(args, injector=injector)
+    executor = make_executor(args)
     try:
         data, stats = run_sweep(spec, executor)
     finally:
@@ -547,20 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "fetched by digest before computing, and local stores "
                  "are pushed back (see docs/scaling.md)",
         )
-        add_chaos_flags(p)
-
-    def add_chaos_flags(p) -> None:
-        p.add_argument(
-            "--chaos-plan", metavar="SPEC", default=None,
-            help="enable fault injection: a probability for every site "
-                 "('0.2') or a site=p list ('cache.read=0.1,"
-                 "pool.worker=0.3'); see docs/robustness.md",
-        )
-        p.add_argument(
-            "--chaos-seed", type=int, default=0, metavar="N",
-            help="seed for the fault plan (same seed => same faults; "
-                 "default: 0)",
-        )
 
     run_p = sub.add_parser("run", help="run one or more experiments")
     run_p.add_argument("experiment", nargs="+", help="experiment name(s)")
@@ -628,47 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="the run cache this tier serves (default: $REPRO_CACHE_DIR "
              "or .repro-cache)",
     )
-    add_chaos_flags(serve_p)
     serve_p.set_defaults(func=_cmd_serve)
-
-    soak_p = sub.add_parser(
-        "chaos-soak",
-        help="run the suite clean vs under a fault plan; fail unless "
-             "results are byte-identical and every fault recovered",
-    )
-    soak_p.add_argument(
-        "--scale", choices=sorted(SCALES), default="quick",
-        help="scale profile (default: quick)",
-    )
-    soak_p.add_argument(
-        "--quick", action="store_true",
-        help="small grid (fast CI smoke) instead of the default grid",
-    )
-    soak_p.add_argument(
-        "--experiments", nargs="*", default=None, metavar="NAME",
-        help="explicit soak grid (default: a built-in grid; see --quick)",
-    )
-    soak_p.add_argument(
-        "--plan", default="0.2", metavar="SPEC",
-        help="fault plan (default: 0.2 on every site)",
-    )
-    soak_p.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="fault plan seed (default: 0)",
-    )
-    soak_p.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
-        help="worker processes for the grid passes (default: 2)",
-    )
-    soak_p.add_argument(
-        "--skip-serve", action="store_true",
-        help="skip the HTTP serve phase (grid passes only)",
-    )
-    soak_p.add_argument(
-        "--out", default="CHAOS_TRACE.json", metavar="FILE",
-        help="fault trace / report path (default: CHAOS_TRACE.json)",
-    )
-    soak_p.set_defaults(func=_cmd_chaos_soak)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -739,7 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fail unless the Pareto frontier has at least N points "
              "(CI gate)",
     )
-    add_chaos_flags(sweep_p)
     sweep_p.set_defaults(func=_cmd_sweep)
 
     cache_p = sub.add_parser(

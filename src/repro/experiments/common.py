@@ -160,18 +160,24 @@ def run_cell_native_sim(
     hw: HardwareConfig,
     trace_len: int,
     force_4k: tuple[bool, ...] = (False,),
+    seed: int = 0,
+    hog: float = 0.0,
 ):
     """One native run plus TLB simulations of its final memory state.
 
     Returns one :class:`~repro.hw.mmu_sim.MmuSimResult` per entry of
     ``force_4k`` (fig 13's THP and 4K bars come from the same state
-    viewed at different TLB-entry granularity).
+    viewed at different TLB-entry granularity).  ``seed`` and ``hog``
+    act as in :func:`run_cell_native`, so a sweep point's two cells
+    see the same run.
     """
     from repro.hw.mmu_sim import MmuSimulator
     from repro.hw.translation import TranslationView
 
     machine = native_machine(policy, scale)
-    wl = make_workload(workload, scale)
+    if hog:
+        machine.hog(hog)
+    wl = make_workload(workload, scale, seed=seed)
     trace = wl.trace(trace_len)
     r = run_native(machine, wl, RunOptions(sample_every=None, exit_after=False))
     sims = []

@@ -26,12 +26,6 @@ class Fig10Result:
     series: dict[tuple[str, int], list[float]] = field(default_factory=dict)
     mappings: dict[tuple[str, int], list[int]] = field(default_factory=dict)
 
-    def final_coverage(self, policy: str) -> tuple[float, float]:
-        return (
-            self.series[(policy, 0)][-1],
-            self.series[(policy, 1)][-1],
-        )
-
     def final_mappings(self, policy: str) -> tuple[int, int]:
         return (
             self.mappings[(policy, 0)][-1],

@@ -49,10 +49,6 @@ class CtlbStats:
     def coverage_fraction(self) -> float:
         return self.covered / max(1, self.total)
 
-    @property
-    def avg_pages_per_install(self) -> float:
-        return self.pages_covered_sum / max(1, self.missed)
-
 
 class CoalescedTlb:
     """Set-associative LRU TLB of run-coalesced entries.

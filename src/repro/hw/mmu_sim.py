@@ -121,42 +121,20 @@ class MmuSimulator:
         if self.engine not in ("vector", "scalar"):
             raise ConfigError(f"unknown MMU engine {self.engine!r}")
         self.tlb = TlbHierarchy.from_config(self.hw)
-        # Disabled schemes skip their state machines entirely (their
-        # counters stay zero) — identically under both engines.
-        self.spot = (
-            SpotPredictor(
-                self.hw.spot_entries,
-                self.hw.spot_ways,
-                use_confidence=self.hw.spot_confidence,
-            )
-            if self.hw.spot_enabled
-            else None
+        self.spot = SpotPredictor(
+            self.hw.spot_entries,
+            self.hw.spot_ways,
+            use_confidence=self.hw.spot_confidence,
         )
-        self.rmm = (
-            RangeTlb(self.hw.range_tlb_entries) if self.hw.rmm_enabled else None
+        self.rmm = RangeTlb(self.hw.range_tlb_entries)
+        self.ds = DirectSegment()
+        self.ctlb = CoalescedTlb(
+            self.hw.ctlb_entries, self.hw.ctlb_ways, self.hw.ctlb_span_pages
         )
-        self.ds = DirectSegment() if self.hw.ds_enabled else None
-        self.ctlb = (
-            CoalescedTlb(
-                self.hw.ctlb_entries,
-                self.hw.ctlb_ways,
-                self.hw.ctlb_span_pages,
-            )
-            if self.hw.ctlb_enabled
-            else None
+        self.utopia = UtopiaMapper(
+            self.hw.utopia_restseg_pages, self.hw.utopia_promote_after
         )
-        self.utopia = (
-            UtopiaMapper(
-                self.hw.utopia_restseg_pages, self.hw.utopia_promote_after
-            )
-            if self.hw.utopia_enabled
-            else None
-        )
-        self.seg = (
-            SegmentationUnit(self.hw.seg_max_segments)
-            if self.hw.seg_enabled
-            else None
-        )
+        self.seg = SegmentationUnit(self.hw.seg_max_segments)
 
     def run(
         self,
@@ -184,12 +162,12 @@ class MmuSimulator:
 
     def _loop(self, t: ResolvedTrace, result: MmuSimResult) -> None:
         access = self.tlb.access
-        spot_done = self.spot.on_walk_complete if self.spot else None
-        rmm_on = self.rmm.on_miss if self.rmm else None
-        ds_on = self.ds.on_miss if self.ds else None
-        ctlb_on = self.ctlb.on_miss if self.ctlb else None
-        utopia_on = self.utopia.on_miss if self.utopia else None
-        seg_on = self.seg.on_miss if self.seg else None
+        spot_done = self.spot.on_walk_complete
+        rmm_on = self.rmm.on_miss
+        ds_on = self.ds.on_miss
+        ctlb_on = self.ctlb.on_miss
+        utopia_on = self.utopia.on_miss
+        seg_on = self.seg.on_miss
         pcs = t.pc.tolist()
         bases = t.entry_base.tolist()
         huges = t.entry_huge.tolist()
@@ -212,37 +190,29 @@ class MmuSimulator:
             if self.walk_sim is not None:
                 self.walk_sim.walk(vpn, huges[i])
             # SpOT: predict + background verification walk.
-            if spot_done is not None:
-                outcome = spot_done(pcs[i], vpn, ppns[i], contigs[i])
-                if outcome == CORRECT:
-                    result.spot_correct += 1
-                elif outcome == MISPREDICT:
-                    result.spot_mispredict += 1
-                else:
-                    result.spot_no_prediction += 1
+            outcome = spot_done(pcs[i], vpn, ppns[i], contigs[i])
+            if outcome == CORRECT:
+                result.spot_correct += 1
+            elif outcome == MISPREDICT:
+                result.spot_mispredict += 1
+            else:
+                result.spot_no_prediction += 1
             # vRMM: range TLB / range table coverage.
-            if rmm_on is not None and (
-                rmm_on(vpn, run_starts[i], run_lens[i]) == "uncovered"
-            ):
+            if rmm_on(vpn, run_starts[i], run_lens[i]) == "uncovered":
                 result.rmm_uncovered += 1
             # DS: segment check.
-            if ds_on is not None and not ds_on(segs[i]):
+            if not ds_on(segs[i]):
                 result.ds_outside += 1
             # Coalesced TLB: run-coalesced entry coverage.
-            if ctlb_on is not None and not ctlb_on(
-                vpn, run_starts[i], run_lens[i]
-            ):
+            if not ctlb_on(vpn, run_starts[i], run_lens[i]):
                 result.ctlb_uncovered += 1
             # Utopia: restrictive-region hit or flexible walk.
-            if utopia_on is not None:
-                if utopia_on(vpn, run_starts[i], run_lens[i]) == REST_HIT:
-                    result.utopia_rest += 1
-                else:
-                    result.utopia_flex += 1
+            if utopia_on(vpn, run_starts[i], run_lens[i]) == REST_HIT:
+                result.utopia_rest += 1
+            else:
+                result.utopia_flex += 1
             # Segmentation: base/limit segment check.
-            if seg_on is not None and (
-                seg_on(vpn, run_starts[i], run_lens[i]) == OUTSIDE
-            ):
+            if seg_on(vpn, run_starts[i], run_lens[i]) == OUTSIDE:
                 result.seg_outside += 1
 
     def _loop_vector(self, t: ResolvedTrace, result: MmuSimResult) -> None:
@@ -267,47 +237,27 @@ class MmuSimulator:
         result.walks += int(walk_idx.size)
         if walk_idx.size == 0:
             return
-        if (
-            self.walk_sim is None
-            and self.spot is None
-            and self.rmm is None
-            and self.ds is None
-            and self.ctlb is None
-            and self.utopia is None
-            and self.seg is None
-        ):
-            return  # nothing consumes the walk stream
         w = _walk_slice(t, walk_idx)
         if self.walk_sim is not None:
             self.walk_sim.walk_batch(w.vpn, w.entry_huge)
-        if self.spot is not None:
-            correct, mispredict, no_prediction = self.spot.on_walks_batch(
-                w.pc, w.vpn, w.ppn, w.contig
-            )
-            result.spot_correct += correct
-            result.spot_mispredict += mispredict
-            result.spot_no_prediction += no_prediction
-        if self.rmm is not None:
-            _, _, uncovered = self.rmm.on_miss_batch(
-                w.vpn, w.run_start, w.run_len
-            )
-            result.rmm_uncovered += uncovered
-        if self.ds is not None:
-            result.ds_outside += self.ds.on_miss_batch(w.in_segment)
-        if self.ctlb is not None:
-            _, missed = self.ctlb.on_miss_batch(w.vpn, w.run_start, w.run_len)
-            result.ctlb_uncovered += missed
-        if self.utopia is not None:
-            rest, flex = self.utopia.on_miss_batch(
-                w.vpn, w.run_start, w.run_len
-            )
-            result.utopia_rest += rest
-            result.utopia_flex += flex
-        if self.seg is not None:
-            _, _, _, outside = self.seg.on_miss_batch(
-                w.vpn, w.run_start, w.run_len
-            )
-            result.seg_outside += outside
+        correct, mispredict, no_prediction = self.spot.on_walks_batch(
+            w.pc, w.vpn, w.ppn, w.contig
+        )
+        result.spot_correct += correct
+        result.spot_mispredict += mispredict
+        result.spot_no_prediction += no_prediction
+        _, _, uncovered = self.rmm.on_miss_batch(w.vpn, w.run_start, w.run_len)
+        result.rmm_uncovered += uncovered
+        result.ds_outside += self.ds.on_miss_batch(w.in_segment)
+        _, missed = self.ctlb.on_miss_batch(w.vpn, w.run_start, w.run_len)
+        result.ctlb_uncovered += missed
+        rest, flex = self.utopia.on_miss_batch(w.vpn, w.run_start, w.run_len)
+        result.utopia_rest += rest
+        result.utopia_flex += flex
+        _, _, _, outside = self.seg.on_miss_batch(
+            w.vpn, w.run_start, w.run_len
+        )
+        result.seg_outside += outside
 
 
 def _walk_slice(t: ResolvedTrace, walk_idx: np.ndarray) -> ResolvedTrace:

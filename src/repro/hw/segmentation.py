@@ -47,10 +47,6 @@ class SegStats:
     def total(self) -> int:
         return self.inside + self.grows + self.fills + self.outside
 
-    @property
-    def inside_fraction(self) -> float:
-        return (self.inside + self.grows + self.fills) / max(1, self.total)
-
 
 class SegmentationUnit:
     """Base/limit segment set with first-touch run placement."""
@@ -92,11 +88,6 @@ class SegmentationUnit:
         self._rejected[run_start] = None
         self.stats.outside += 1
         return OUTSIDE
-
-    @property
-    def segment_pages(self) -> int:
-        """Pages currently spanned by the segment set."""
-        return sum(end - start for start, end in self._segments)
 
     # -- batched miss path (the vector engine) -------------------------------
 

@@ -47,10 +47,6 @@ class UtopiaStats:
     def total(self) -> int:
         return self.rest_hits + self.flex_walks
 
-    @property
-    def rest_fraction(self) -> float:
-        return self.rest_hits / max(1, self.total)
-
 
 class UtopiaMapper:
     """Promotion state machine over contiguity runs.

@@ -1,11 +1,10 @@
 """Prometheus-style metrics registry for the cache-tier server.
 
 Text exposition only (the ``0.0.4`` format every Prometheus scraper
-speaks), stdlib only, and deliberately tiny: counters (value- or
-callable-backed) and a histogram wrapping
-:class:`repro.metrics.profiling.Histogram`.  Metrics support at most
-one label — enough for ``{endpoint=...}`` / ``{code=...}`` breakdowns
-without growing a label-set engine.
+speaks), stdlib only, and deliberately tiny: counters and a histogram
+wrapping :class:`repro.metrics.profiling.Histogram`.  Metrics support
+at most one label — enough for ``{endpoint=...}`` / ``{code=...}``
+breakdowns without growing a label-set engine.
 
 All mutation happens on the server's single event-loop thread, so no
 locking is needed; clients and tests read via ``/metrics``.
@@ -14,7 +13,6 @@ locking is needed; clients and tests read via ``/metrics``.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from repro.metrics.profiling import DEFAULT_BUCKETS, Histogram
 
@@ -85,24 +83,6 @@ class Counter(Metric):
         return [("", lv, v) for lv, v in sorted(self.values.items())]
 
 
-class FuncCounter(Metric):
-    """Counter whose labelled values are read from a callable at scrape
-    time (e.g. the chaos injector's per-site fault counts)."""
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str, label: str,
-                 fn: Callable[[], dict[str, float]]):
-        super().__init__(name, help, label)
-        self.fn = fn
-
-    def samples(self) -> list[tuple[str, str, float]]:
-        values = self.fn() or {}
-        if not values:
-            return [("", "", 0)]
-        return [("", lv, float(v)) for lv, v in sorted(values.items())]
-
-
 class HistogramMetric(Metric):
     """Cumulative-bucket histogram in Prometheus exposition shape."""
 
@@ -145,10 +125,6 @@ class Registry:
 
     def counter(self, name: str, help: str, label: str = "") -> Counter:
         return self.add(Counter(name, help, label))
-
-    def func_counter(self, name: str, help: str, label: str,
-                     fn: Callable[[], dict[str, float]]) -> FuncCounter:
-        return self.add(FuncCounter(name, help, label, fn))
 
     def histogram(self, name: str, help: str,
                   buckets: tuple[float, ...] = DEFAULT_BUCKETS,

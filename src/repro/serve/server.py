@@ -99,17 +99,6 @@ class ReproServer:
             "Shared-tier blob body bytes on the wire, by direction.",
             label="direction",
         )
-        if injector is not None:
-            self.registry.func_counter(
-                "repro_chaos_faults_total",
-                "Injected faults fired, by site.", label="site",
-                fn=injector.fired_by_site,
-            )
-            self.registry.func_counter(
-                "repro_chaos_recovered_total",
-                "Injected faults answered by a recovery action, by site.",
-                label="site", fn=injector.recovered_by_site,
-            )
         self.started = self.clock.wall()
         self._server: asyncio.base_events.Server | None = None
 
@@ -379,13 +368,8 @@ def _head(status: int, headers: list[tuple[str, str]]) -> bytes:
 
 def build_server(args) -> ReproServer:
     """Construct a server from parsed ``repro serve`` CLI args."""
-    from repro.cli import make_injector
-
-    injector = make_injector(args)
-    return ReproServer(
-        RunCache(args.cache_dir), host=args.host, port=args.port,
-        injector=injector,
-    )
+    return ReproServer(RunCache(args.cache_dir), host=args.host,
+                       port=args.port)
 
 
 class ServerThread:

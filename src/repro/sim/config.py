@@ -174,15 +174,6 @@ class HardwareConfig:
     utopia_promote_after: int = 4
     #: Segmentation baseline: base/limit segments per VM.
     seg_max_segments: int = 16
-    #: Scheme machine switches: experiments that never read a scheme's
-    #: counters can turn it off and skip its state machine entirely
-    #: (both engines honour these identically).
-    spot_enabled: bool = True
-    rmm_enabled: bool = True
-    ds_enabled: bool = True
-    ctlb_enabled: bool = True
-    utopia_enabled: bool = True
-    seg_enabled: bool = True
 
     @classmethod
     def broadwell(cls) -> "HardwareConfig":

@@ -208,16 +208,6 @@ class ExecutorStats:
     worker_crashes: int = 0
     cell_retries: int = 0
 
-    def merge(self, other: "ExecutorStats") -> None:
-        self.submitted += other.submitted
-        self.computed += other.computed
-        self.cache_hits += other.cache_hits
-        self.deduped += other.deduped
-        self.pool_failures += other.pool_failures
-        self.retried_serial += other.retried_serial
-        self.worker_crashes += other.worker_crashes
-        self.cell_retries += other.cell_retries
-
 
 class Executor:
     """Runs cell DAGs with optional parallelism and memoization.

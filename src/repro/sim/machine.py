@@ -88,11 +88,6 @@ class Machine:
             self.mem.hog(fraction, self.rng, block_order=block_order)
         )
 
-    def release_hog(self) -> None:
-        """Release all hog pins."""
-        self.mem.release(self._hog_blocks)
-        self._hog_blocks.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Machine(policy={self.policy.name}, pages={self.mem.n_pages})"
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.errors import ConfigError
-from repro.sim.cache import encode_spec, spec_digest
+from repro.sim.cache import encode_spec
 from repro.sim.config import HardwareConfig
 from repro.sim.jobs import Cell, cell
 from repro.sim.runner import RunOptions
@@ -288,6 +288,8 @@ class SweepSpec:
             scale=scale,
             hw=self.hw,
             trace_len=self.trace_len,
+            seed=self.seed,
+            hog=self.hog,
         )
         return native, sim
 
@@ -320,7 +322,7 @@ class SweepSpec:
     # -- identity ------------------------------------------------------
 
     def as_dict(self) -> dict:
-        """Plain-data form (the digest input and the result echo)."""
+        """Plain-data form (the result echo)."""
         return {
             "policies": list(self.policies),
             "schemes": list(self.schemes),
@@ -334,19 +336,3 @@ class SweepSpec:
             "exclude": [[list(pair) for pair in clause]
                         for clause in self.exclude],
         }
-
-    def digest(self, salt: str) -> str:
-        """Content address of the whole sweep under a code salt.
-
-        Covers the expanded cell specs (not just the axis lists), so
-        two spellings that expand to the same work share it, and any
-        change to the underlying cell definitions shifts the digest
-        with the cache keys.
-        """
-        _points, cells, refs = self.expand()
-        return spec_digest({
-            "sweep": self.as_dict(),
-            "cells": [c.spec() for c in cells],
-            "refs": [list(r) for r in refs],
-        }, salt)
-

@@ -100,10 +100,6 @@ class Vma:
             return None
         return min(self.offsets, key=lambda o: abs(o.fault_vpn - vpn))
 
-    def clear_offsets(self) -> None:
-        """Drop all placement metadata (used on munmap reuse)."""
-        self.offsets.clear()
-
     def try_begin_replacement(self) -> bool:
         """Atomically claim the right to run a re-placement decision."""
         if self.replacement_in_progress:

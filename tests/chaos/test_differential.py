@@ -4,12 +4,22 @@ Runs the same cell grid clean and under ``FaultPlan.uniform(0.2)``
 across several seeds, through one shared cache directory, and asserts
 the canonical JSON of the results is byte-identical every time, with
 zero unhandled exceptions and every fired fault recovered.
+
+:class:`TestSuiteGridUnderFaults` makes the same claim end to end on a
+real experiment grid (fig 9 at quick scale, through
+:func:`repro.cli.run_suite_grid`): under cache faults against one
+shared cache directory, and read through a live cache tier under
+serve faults.
 """
 
 import json
 
+import pytest
+
 from repro.chaos import FaultInjector, FaultPlan
-from repro.sim.cache import RunCache
+from repro.cli import SCALES, run_suite_grid
+from repro.serve.server import ServerThread
+from repro.sim.cache import HttpCacheTier, RunCache
 from repro.sim.jobs import Executor, Plan, cell, run_plans
 
 MIX = "tests.chaos.test_differential:_mix"
@@ -89,3 +99,79 @@ class TestDifferentialChaos:
         seeds = {seed: trace_for(seed) for seed in (7, 8)}
         assert trace_for(7) == seeds[7]          # reproducible
         assert seeds[7] != seeds[8]              # seed actually matters
+
+
+#: The real-experiment grid: cheap at quick scale, many cells.
+SUITE_GRID = ["fig9"]
+#: Every cache read corrupts its entry and every store is dropped —
+#: deterministic whatever the cell keys hash to under the code salt —
+#: and the pool sites stay clear so no retry budget can run out.
+CACHE_FAULTS = (("cache.read", 1.0), ("cache.write", 1.0))
+SERVE_FAULTS = (("serve.accept", 0.5), ("serve.body", 0.5))
+
+
+def suite_grid(cache_dir, injector=None, tier=None):
+    """One pass of :data:`SUITE_GRID`: (canonical bytes, its cache)."""
+    cache = RunCache(cache_dir, injector=injector, tier=tier)
+    with Executor(cache=cache, injector=injector) as executor:
+        body, _ = run_suite_grid(SCALES["quick"], SUITE_GRID, executor)
+    return body, cache
+
+
+@pytest.fixture(scope="module")
+def fig9_runs(tmp_path_factory):
+    """A clean cold pass, then two cache-faulted passes, each with a
+    fresh injector on the same plan and seed and each followed by a
+    clean repair pass (the faulted pass quarantines every entry it
+    reads and drops every store), so both start from, and leave, the
+    same warm cache."""
+    cache_dir = tmp_path_factory.mktemp("fig9") / "cache"
+    clean, _ = suite_grid(cache_dir)
+    faulted = []
+    for _ in range(2):
+        injector = FaultInjector(FaultPlan(CACHE_FAULTS, seed=1))
+        body, _ = suite_grid(cache_dir, injector)
+        suite_grid(cache_dir)
+        faulted.append((body, injector))
+    return cache_dir, clean, faulted
+
+
+class TestSuiteGridUnderFaults:
+    def test_grid_identity_and_trace_determinism(self, fig9_runs):
+        _, clean, faulted = fig9_runs
+        for body, injector in faulted:
+            assert body == clean
+            assert injector.unrecovered() == []
+        (_, a), (_, b) = faulted
+        assert sorted((r.site, r.token, r.recovered) for r in a.records) \
+            == sorted((r.site, r.token, r.recovered) for r in b.records)
+
+    def test_faults_actually_fired_and_were_recovered(self, fig9_runs):
+        _, _, faulted = fig9_runs
+        for _, injector in faulted:
+            fired = injector.fired_by_site()
+            assert fired["cache.read"] >= 1
+            assert fired["cache.write"] >= 1
+            assert {r.recovered for r in injector.records} <= {
+                "quarantined", "already_miss", "dropped_write",
+            }
+
+    def test_tier_phase_matches_clean_under_serve_faults(self, fig9_runs,
+                                                         tmp_path):
+        # Serve the warm cache as the shared tier and run the grid
+        # through it from a fresh local cache.
+        cache_dir, clean, _ = fig9_runs
+        injector = FaultInjector(FaultPlan(SERVE_FAULTS, seed=0))
+        with ServerThread(cache=RunCache(cache_dir),
+                          injector=injector) as server:
+            tier = HttpCacheTier(f"http://127.0.0.1:{server.port}")
+            body, cache = suite_grid(tmp_path / "l1", tier=tier)
+        assert body == clean
+        fired = injector.fired_by_site()
+        assert fired.get("serve.accept", 0) >= 1
+        assert injector.unrecovered() == []
+        # The served cache is warm, so every lookup that got through
+        # hit; each fault cost exactly one tier miss (a dropped GET) or
+        # one tier error (a dropped or stalled PUT), never the run.
+        assert cache.tier_hits >= 1
+        assert cache.tier_misses + cache.tier_errors == sum(fired.values())

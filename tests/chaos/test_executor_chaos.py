@@ -42,7 +42,7 @@ class TestWorkerCrashes:
         assert executor.stats.worker_crashes == 3
         assert executor.stats.cell_retries == 2
         # The final, unanswered crash stays in the trace as unrecovered —
-        # exactly what chaos-soak flags as a bug if it ever happens there.
+        # exactly what the differential tests flag as a bug elsewhere.
         assert len(injector.unrecovered()) == 1
 
     def test_backoff_reads_the_injected_clock(self):

@@ -1,9 +1,11 @@
 """Unit tests for the shared experiment plumbing."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.experiments import common
-from repro.sim.config import TEST_SCALE
+from repro.sim.config import MIB, TEST_SCALE, HardwareConfig, ScaleProfile
 
 
 class TestFormatTable:
@@ -53,6 +55,25 @@ class TestBuilders:
 
     def test_suite_is_table_iii_order(self):
         assert common.SUITE == ("svm", "pagerank", "hashjoin", "xsbench", "bt")
+
+
+class TestNativeSimCell:
+    #: Two 128 MiB nodes: room for the svm run under a 50% hog.
+    SCALE = ScaleProfile(name="sim-cell", bytes_per_paper_gb=MIB,
+                         machine_paper_gb=(128, 128))
+
+    def sim(self, **kwargs) -> dict:
+        [result] = common.run_cell_native_sim(
+            workload="svm", policy="ca", scale=self.SCALE,
+            hw=HardwareConfig(), trace_len=5000, **kwargs,
+        )
+        return asdict(result)
+
+    def test_seed_and_hog_reach_the_simulated_run(self):
+        base = self.sim()
+        assert self.sim(seed=0, hog=0.0) == base
+        assert self.sim(seed=5) != base
+        assert self.sim(hog=0.5) != base
 
 
 class TestResultDescribe:

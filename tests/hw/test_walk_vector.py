@@ -6,8 +6,8 @@ conformance battery — ``tests/hw/test_conformance.py`` over the
 :mod:`tests.hw.conformance` registry.  These tests cover the layer
 above: :class:`MmuSimulator` wiring every scheme machine into both
 engines with a bit-identical :class:`MmuSimResult` and end state,
-across the ``HardwareConfig`` switch matrix and with the mechanistic
-walk simulator attached.
+across ``HardwareConfig`` geometries and with the mechanistic walk
+simulator attached.
 """
 
 from dataclasses import asdict
@@ -31,38 +31,26 @@ from tests.hw.test_engine_differential import native_state, virt_state
 
 HW_CONFIGS = [
     HardwareConfig(),
-    HardwareConfig(spot_enabled=False),
-    HardwareConfig(rmm_enabled=False, ds_enabled=False),
     HardwareConfig(spot_confidence=False, spot_entries=16),
     # Tight geometries for the related-work schemes: small span,
     # instant promotion, two segments — maximal divergence pressure.
     HardwareConfig(ctlb_entries=16, ctlb_span_pages=8,
                    utopia_restseg_pages=512, utopia_promote_after=1,
                    seg_max_segments=2),
-    HardwareConfig(ctlb_enabled=False, utopia_enabled=False,
-                   seg_enabled=False),
-    # All schemes off: the vector engine's empty-walk-consumer early
-    # return must still agree on every TLB counter.
-    HardwareConfig(spot_enabled=False, rmm_enabled=False, ds_enabled=False,
-                   ctlb_enabled=False, utopia_enabled=False,
-                   seg_enabled=False),
 ]
 
-HW_IDS = [
-    "default", "no-spot", "no-rmm-ds", "small-noconf",
-    "tight-new-schemes", "no-new-schemes", "all-off",
-]
+HW_IDS = ["default", "small-noconf", "tight-new-schemes"]
 
 
 def sim_states(sim: MmuSimulator):
-    """Every scheme machine's observable state (None when disabled)."""
+    """Every scheme machine's observable state."""
     return (
-        spot_state(sim.spot) if sim.spot else None,
-        rmm_state(sim.rmm) if sim.rmm else None,
-        vars(sim.ds.stats).copy() if sim.ds else None,
-        ctlb_state(sim.ctlb) if sim.ctlb else None,
-        utopia_state(sim.utopia) if sim.utopia else None,
-        seg_state(sim.seg) if sim.seg else None,
+        spot_state(sim.spot),
+        rmm_state(sim.rmm),
+        vars(sim.ds.stats).copy(),
+        ctlb_state(sim.ctlb),
+        utopia_state(sim.utopia),
+        seg_state(sim.seg),
     )
 
 
@@ -91,16 +79,6 @@ class TestMmuSimulatorWalkPath:
             states[engine] = sim_states(sim)
         assert results["scalar"] == results["vector"]
         assert states["scalar"] == states["vector"]
-        if not hw.spot_enabled:
-            assert results["vector"]["spot_correct"] == 0
-            assert results["vector"]["spot_no_prediction"] == 0
-        if not hw.ctlb_enabled:
-            assert results["vector"]["ctlb_uncovered"] == 0
-        if not hw.utopia_enabled:
-            assert results["vector"]["utopia_rest"] == 0
-            assert results["vector"]["utopia_flex"] == 0
-        if not hw.seg_enabled:
-            assert results["vector"]["seg_outside"] == 0
 
     def test_new_scheme_counters_cover_all_walks(self, native):
         """Defaults-on schemes partition the walk stream."""

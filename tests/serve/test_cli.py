@@ -85,7 +85,13 @@ class TestParserWiring:
         ["bench", "--trace-len", "10"],
         ["bench", "--min-walk-speedup", "2"],
         ["bench", "--min-fault-speedup", "5"],
+        ["chaos-soak", "--quick"],
+        ["run", "fig9", "--chaos-plan", "0.2"],
+        ["suite", "--chaos-seed", "1"],
+        ["serve", "--chaos-plan", "0.1"],
+        ["sweep", "--chaos-plan", "0.1"],
     ])
     def test_retired_job_api_surface_is_gone(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2

@@ -45,8 +45,7 @@ class TestRegistry:
     def test_render_all_metrics_with_metadata(self):
         reg = Registry()
         reg.counter("a_total", "a help")
-        reg.func_counter("b_total", "b help", label="site",
-                         fn=lambda: {"x": 2})
+        reg.counter("b_total", "b help", label="site").inc("x", 2)
         text = reg.render()
         assert "# HELP a_total a help" in text
         assert "# TYPE a_total counter" in text

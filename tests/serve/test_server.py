@@ -104,7 +104,7 @@ class TestEndpoints:
             assert ('repro_cache_tier_requests_total{outcome="get_miss"} 1'
                     in text)
             assert "repro_request_seconds_bucket" in text
-            # No injector: the chaos counters are absent entirely.
+            # Fault injection is a test seam and exports no counters.
             assert "repro_chaos_faults_total" not in text
 
         run(body)
@@ -119,13 +119,3 @@ class TestBuildServer:
         assert server.cache.root == tmp_path
         assert server.injector is None
         assert (server.host, server.port) == ("127.0.0.1", 0)
-
-    def test_chaos_plan_arms_the_serve_sites(self, tmp_path):
-        args = build_parser().parse_args([
-            "serve", "--cache-dir", str(tmp_path),
-            "--chaos-plan", "serve.accept=0.5", "--chaos-seed", "3",
-        ])
-        server = build_server(args)
-        assert server.injector is not None
-        assert server.injector.plan.seed == 3
-        assert "repro_chaos_faults_total" in server.registry.metrics

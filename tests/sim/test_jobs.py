@@ -304,16 +304,6 @@ class TestBrokenPoolFallback:
                 Cell(fn="no.colon.here"), Cell(fn="also.none"),
             ])
 
-    def test_stats_merge_includes_fallback_counters(self):
-        from repro.sim.jobs import ExecutorStats
-
-        a = ExecutorStats(pool_failures=1, retried_serial=2)
-        b = ExecutorStats(pool_failures=1, retried_serial=3, computed=4)
-        a.merge(b)
-        assert a.pool_failures == 2
-        assert a.retried_serial == 5
-        assert a.computed == 4
-
 
 class TestCacheLifecycle:
     def _fill(self, tmp_path, n=4, size=1000):
