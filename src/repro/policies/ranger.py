@@ -74,11 +74,12 @@ class RangerPaging(PlacementPolicy):
         if not anchors:
             return budget
         vpn = vma.start_vpn
-        while vpn < vma.end_vpn and budget > 0:
-            walk = space.page_table.walk(vpn)
-            if not walk.hit:
-                vpn += 1
-                continue
+        while budget > 0:
+            # A fresh descent per leaf: migrations and exchanges remap
+            # leaves ahead of the cursor.
+            walk = space.page_table.next_leaf(vpn, vma.end_vpn)
+            if walk is None:
+                break
             pages = order_pages(walk.pte.order)
             offset = self._offset_for(anchors, walk.base_vpn)
             desired = walk.base_vpn - offset

@@ -251,9 +251,19 @@ class Kernel:
     def munmap(self, process: Process, vma: Vma) -> None:
         """Destroy a VMA and release its frames."""
         self.policy.on_munmap(process.space, vma)
-        removed = process.space.munmap(vma)
-        for base_vpn, pte in removed:
-            self._put_frame(pte.pfn, pte.order)
+        # Free by physical stretch: consecutive leaves (VPN order) whose
+        # frames continue each other go back in one span.
+        start = n_pages = 0
+        for _vpn, pte in process.space.munmap(vma):
+            pages = order_pages(pte.order)
+            if n_pages and pte.pfn == start + n_pages:
+                n_pages += pages
+                continue
+            if n_pages:
+                self._put_frame_span(start, n_pages)
+            start, n_pages = pte.pfn, pages
+        if n_pages:
+            self._put_frame_span(start, n_pages)
 
     # -- the fault path -----------------------------------------------------------
 
@@ -518,13 +528,10 @@ class Kernel:
 
     def _cow_scan(self, process: Process, vpn: int, end: int) -> int:
         """Walk a mapped stretch, breaking COW leaves for a write touch."""
-        space = process.space
+        table = process.space.page_table
         majors = 0
-        while vpn < end:
-            walk = space.page_table.walk(vpn)
-            if not walk.hit:
-                vpn += 1
-                continue
+        while (walk := table.next_leaf(vpn, end)) is not None:
+            vpn = max(vpn, walk.base_vpn)
             if not walk.pte.flags & PteFlags.COW:
                 vpn = walk.base_vpn + order_pages(walk.pte.order)
                 continue

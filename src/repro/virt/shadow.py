@@ -96,13 +96,9 @@ class ShadowPager:
         """Drop stale shadow leaves in a range (COW breaks, remaps)."""
         vpn = base_vpn
         end = base_vpn + n_pages
-        while vpn < end:
-            walk = shadow.walk(vpn)
-            if walk.hit:
-                shadow.unmap(vpn)
-                vpn = walk.base_vpn + order_pages(walk.pte.order)
-            else:
-                vpn += 1
+        while (walk := shadow.next_leaf(vpn, end)) is not None:
+            shadow.unmap(walk.base_vpn)
+            vpn = walk.base_vpn + order_pages(walk.pte.order)
 
     def _huge_backing(self, gpa: int) -> bool:
         if not is_aligned(gpa, HUGE_PAGES):

@@ -88,16 +88,13 @@ class AddressSpace:
         if self._vmas.get(vma.start_vpn) is not vma:
             raise AddressSpaceError(f"munmap of unknown VMA {vma!r}")
         removed: list[tuple[int, Pte]] = []
+        table = self.page_table
         vpn = vma.start_vpn
-        while vpn < vma.end_vpn:
-            walk = self.page_table.walk(vpn)
-            if walk.hit:
-                self.page_table.unmap(vpn)
-                removed.append((walk.base_vpn, walk.pte))
-                self.runs.remove(walk.base_vpn, 1 << walk.pte.order)
-                vpn = walk.base_vpn + (1 << walk.pte.order)
-            else:
-                vpn += 1
+        while (walk := table.next_leaf(vpn, vma.end_vpn)) is not None:
+            table.unmap(walk.base_vpn)
+            removed.append((walk.base_vpn, walk.pte))
+            self.runs.remove(walk.base_vpn, 1 << walk.pte.order)
+            vpn = walk.base_vpn + (1 << walk.pte.order)
         i = bisect.bisect_left(self._vma_starts, vma.start_vpn)
         del self._vma_starts[i]
         del self._vmas[vma.start_vpn]

@@ -93,6 +93,19 @@ def _index(vpn: int, level: int) -> int:
     return (vpn >> (LEVEL_BITS * (level - 1))) & (LEVEL_FANOUT - 1)
 
 
+def _next_index(entries: dict, lo: int, hi: int) -> int | None:
+    """Smallest key of ``entries`` in ``[lo, hi)``, or None.
+
+    Probes the index range or scans the keys, whichever is shorter.
+    """
+    if hi - lo <= len(entries):
+        for idx in range(lo, hi):
+            if idx in entries:
+                return idx
+        return None
+    return min((idx for idx in entries if lo <= idx < hi), default=None)
+
+
 class PageTable:
     """A per-address-space radix page table.
 
@@ -245,6 +258,47 @@ class PageTable:
                 return WalkResult(entry, base, levels_touched)
             node = entry
         raise MappingError(f"malformed page table at vpn {vpn:#x}")  # pragma: no cover
+
+    def next_leaf(self, vpn: int, end: int) -> WalkResult | None:
+        """The first present leaf covering a vpn in ``[vpn, end)``, or None.
+
+        Equal to the first hit of ``walk(v)`` for ``v`` in
+        ``range(vpn, end)`` (``base_vpn`` may lie below ``vpn`` when a
+        huge leaf covers it), but each miss jumps to the next present
+        index of the node it missed in — or past the node when none is
+        left — instead of stepping one vpn.  Empty PT nodes left by
+        :meth:`unmap` and non-present PTEs are stepped over.  Each call
+        descends from the root afresh, so callers that remap leaves
+        between calls see the table as it is.
+        """
+        levels = self.levels
+        while vpn < end:
+            node = self._root
+            for level in range(levels, 0, -1):
+                shift = LEVEL_BITS * (level - 1)
+                idx = (vpn >> shift) & (LEVEL_FANOUT - 1)
+                entries = node.entries
+                entry = entries.get(idx)
+                if entry is not None:
+                    if type(entry) is _Node:
+                        node = entry
+                        continue
+                    if entry.flags & PteFlags.PRESENT:
+                        return WalkResult(
+                            entry, vpn >> shift << shift, levels - level + 1
+                        )
+                # A miss at this level: resume at the node's next present
+                # index below ``end``, or past the node's span.
+                node_shift = shift + LEVEL_BITS
+                node_base = vpn >> node_shift << node_shift
+                last = min(LEVEL_FANOUT, ((end - 1 - node_base) >> shift) + 1)
+                nxt = _next_index(entries, idx + 1, last)
+                if nxt is None:
+                    vpn = node_base + (1 << node_shift)
+                else:
+                    vpn = node_base | (nxt << shift)
+                break
+        return None
 
     def lookup(self, vpn: int) -> Pte | None:
         """The leaf covering ``vpn``, or None."""
