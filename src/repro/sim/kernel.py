@@ -526,8 +526,14 @@ class Kernel:
         process.touched_pages += n_pages
         return majors
 
-    def _cow_scan(self, process: Process, vpn: int, end: int) -> int:
-        """Walk a mapped stretch, breaking COW leaves for a write touch."""
+    def _cow_scan(self, process: Process, vpn: int, end: int, fault=None) -> int:
+        """Walk a mapped stretch, breaking COW leaves for a write touch.
+
+        Each COW leaf goes through ``fault(process, vpn, True)``
+        (default :meth:`fault`); the hypervisor passes its guest fault so
+        the copy is nested-backed and seen by its fault hooks.
+        """
+        fault = fault or self.fault
         table = process.space.page_table
         majors = 0
         while (walk := table.next_leaf(vpn, end)) is not None:
@@ -535,7 +541,7 @@ class Kernel:
             if not walk.pte.flags & PteFlags.COW:
                 vpn = walk.base_vpn + order_pages(walk.pte.order)
                 continue
-            result = self.fault(process, vpn, True)
+            result = fault(process, vpn, True)
             majors += 1
             vpn = result.vpn + order_pages(result.order) if not result.minor else vpn + 1
         return majors
@@ -626,9 +632,19 @@ class Kernel:
 
     # -- page cache ---------------------------------------------------------------
 
-    def file_read(self, file: CachedFile, index: int) -> int:
-        """Read one page of a file through the page cache."""
-        return self.page_cache.read(file, index, self._file_allocate)
+    def file_read(self, file: CachedFile, index: int,
+                  n_pages: int = 1) -> list[tuple[int, int]]:
+        """Read pages ``[index, index + n_pages)`` of a file through the
+        page cache; returns the ``(index, pfn)`` pairs it brought in.
+
+        Every readahead window of the range is served in this one call
+        (see :meth:`PageCache.read`); all file claims are order 0, so
+        they cannot reach reclaim while the machine has as many free
+        frames as the range claims.
+        """
+        return self.page_cache.read(
+            file, index, self._file_allocate, n_pages, self.mem.free_pages
+        )
 
     def drop_file(self, file: CachedFile) -> int:
         """Evict a file from the cache, freeing its frames."""

@@ -90,8 +90,8 @@ def run_native(
         touch=lambda vma_idx, start, n: kernel.touch_range(
             process, vmas[vma_idx].start_vpn + start, n
         ),
-        read=lambda file_idx, start, n: _read_pages(
-            kernel.file_read, files[file_idx], start, n, kernel
+        read=lambda file_idx, start, n: kernel.file_read(
+            files[file_idx], start, n
         ),
         daemons=kernel.run_daemons,
     )
@@ -153,8 +153,8 @@ def run_virtualized(
         touch=lambda vma_idx, start, n: vm.guest_touch_range(
             process, vmas[vma_idx].start_vpn + start, n
         ),
-        read=lambda file_idx, start, n: _read_pages(
-            vm.guest_file_read, files[file_idx], start, n, guest
+        read=lambda file_idx, start, n: vm.guest_file_read(
+            files[file_idx], start, n
         ),
         daemons=lambda: (guest.run_daemons(), vm.host.kernel.run_daemons()),
     )
@@ -205,12 +205,6 @@ def _file_handle(kernel, name: str, n_pages: int):
     return kernel.page_cache.open(n_pages, name=name)
 
 
-def _read_pages(read_fn, file, start: int, n: int, kernel) -> None:
-    window = kernel.page_cache.readahead_pages
-    for index in range(start, min(start + n, file.n_pages), window):
-        read_fn(file, index)
-
-
 def _write_scratch(kernel, workload, options, read_fn) -> None:
     """Leave a scratch file in the page cache (ages the machine).
 
@@ -224,4 +218,4 @@ def _write_scratch(kernel, workload, options, read_fn) -> None:
         options.scratch_file_pages,
         name=f"{workload.name}-scratch-{kernel.next_scratch_id()}",
     )
-    _read_pages(read_fn, scratch, 0, scratch.n_pages, kernel)
+    read_fn(scratch, 0, scratch.n_pages)

@@ -26,7 +26,7 @@ from repro.mm.physmem import PhysicalMemory
 from repro.sim.kernel import FaultResult, Kernel
 from repro.sim.machine import Machine
 from repro.units import order_pages
-from repro.vm.flags import DEFAULT_ANON
+from repro.vm.flags import DEFAULT_ANON, PteFlags
 from repro.vm.mapping_runs import frame_stretches
 from repro.vm.process import Process
 
@@ -194,19 +194,24 @@ class VirtualMachine:
         unmapped gaps go through the guest kernel's batched
         ``fault_span``; each granted guest leaf is nested-backed
         immediately, exactly like the per-page :meth:`guest_fault` path.
-        The ``scalar`` guest engine routes the reference per-leaf loop.
-        With no fault hooks, whole granted segments are nested-backed
-        through ``on_span`` (one host ``touch_range`` per physically
-        contiguous gPA stretch); with hooks installed the per-fault
-        ``on_fault`` callback routes the span through the per-leaf path
-        so every hook sees its FaultResult.
+        Once the guest has forked, a write also breaks the COW leaves of
+        the mapped stretches, each through :meth:`guest_fault`, as
+        :meth:`Kernel.touch_range` does natively.  The ``scalar`` guest
+        engine routes the reference per-leaf loop.  With no fault hooks,
+        whole granted segments are nested-backed through ``on_span``
+        (one host ``touch_range`` per physically contiguous gPA
+        stretch); with hooks installed the per-fault ``on_fault``
+        callback routes the span through the per-leaf path so every hook
+        sees its FaultResult.
         """
-        if self.guest_kernel.engine == "scalar":
+        kernel = self.guest_kernel
+        if kernel.engine == "scalar":
             return self._guest_touch_range_scalar(process, start_vpn, n_pages, write)
         majors = 0
         vpn = start_vpn
         end = start_vpn + n_pages
         space = process.space
+        scan_cow = write and kernel._cow_possible
 
         def back(result: FaultResult) -> None:
             self.ensure_backed(result.pfn, order_pages(result.order))
@@ -221,14 +226,18 @@ class VirtualMachine:
         while vpn < end:
             gap = space.runs.next_unmapped(vpn, end)
             if gap is None:
+                if scan_cow:
+                    majors += kernel._cow_scan(process, vpn, end, self.guest_fault)
                 break
             gap_start, gap_end = gap
+            if scan_cow and gap_start > vpn:
+                majors += kernel._cow_scan(process, vpn, gap_start, self.guest_fault)
             vma = space.vma_at(gap_start)
             if vma is None:
                 raise AddressSpaceError(
                     f"segfault: pid {process.pid} touched unmapped vpn {gap_start:#x}"
                 )
-            n, vpn = self.guest_kernel.fault_span(
+            n, vpn = kernel.fault_span(
                 process, vma, gap_start, min(gap_end, vma.end_vpn), write,
                 on_fault=on_fault, on_span=back_span,
             )
@@ -245,7 +254,7 @@ class VirtualMachine:
         space = process.space
         while vpn < end:
             walk = space.page_table.walk(vpn)
-            if walk.hit:
+            if walk.hit and not (write and walk.pte.flags & PteFlags.COW):
                 vpn = walk.base_vpn + order_pages(walk.pte.order)
                 continue
             result = self.guest_fault(process, vpn, write)
@@ -254,14 +263,17 @@ class VirtualMachine:
         process.touched_pages += n_pages
         return majors
 
-    def guest_file_read(self, file, index: int) -> int:
-        """Guest page-cache read + nested backing of the cached frames."""
-        gpa = self.guest_kernel.file_read(file, index)
+    def guest_file_read(self, file, index: int,
+                        n_pages: int = 1) -> list[tuple[int, int]]:
+        """Guest page-cache read of ``[index, index + n_pages)`` + nested
+        backing of the frames it brought in; returns the guest
+        :meth:`Kernel.file_read` fill."""
+        fill = self.guest_kernel.file_read(file, index, n_pages)
         # One backing request per gPA-contiguous stretch of the new frames.
-        frames = [frame for _, frame in self.guest_kernel.page_cache.last_fill]
+        frames = [frame for _, frame in fill]
         for i, n in frame_stretches(frames):
             self.ensure_backed(frames[i], n)
-        return gpa
+        return fill
 
     def guest_exit_process(self, process: Process) -> None:
         """Tear down a guest process.

@@ -63,8 +63,9 @@ class PageCache:
         self.runs: dict[int, MappingRuns] = {}
         self.fault_count = 0
         self.readahead_count = 0
-        #: (index, pfn) pairs populated by the most recent miss — lets
-        #: the hypervisor back exactly the new frames without scanning.
+        #: (index, pfn) pairs claimed by the last window read (empty if
+        #: it hit).  Nothing reads it; checkpoints pickle it, so it stays
+        #: until they hold only semantic state (ROADMAP).
         self.last_fill: list[tuple[int, int]] = []
         #: Reverse map pfn -> (inode, index): which cached page owns a
         #: frame (migration/defragmentation support).
@@ -102,47 +103,87 @@ class PageCache:
 
     # -- access path -----------------------------------------------------------
 
-    def read(self, file: CachedFile, index: int, allocate) -> int:
-        """Access page ``index`` of ``file``; returns its PFN.
+    def read(self, file: CachedFile, index: int, allocate, n_pages: int = 1,
+             free_pages: int = 0) -> list[tuple[int, int]]:
+        """Read pages ``[index, index + n_pages)`` of ``file``.
 
-        A miss triggers readahead: the window of
-        ``readahead_pages`` starting at the faulting index (clamped to
-        the file) is populated in one allocation request so the policy
-        can place it contiguously, and recorded with one runs update per
-        stretch of consecutive frames (counted as per-page adds; see
+        Returns the ``(index, pfn)`` pairs the read brought into the
+        cache, in claim order (empty when every window hit).
+
+        The range is served in readahead windows on the grid ``index``,
+        ``index + W``, ... (``W = readahead_pages``).  A window whose
+        first page is resident is a hit; otherwise it claims the prefix
+        of its pages that are not resident yet, up to ``W`` pages and the
+        file's end, so the last window may run past the range.  A claim
+        is one ``allocate(file, start, n) -> list[pfn]`` request, so the
+        policy can place it contiguously, recorded with one runs update
+        per stretch of consecutive frames (counted as per-page adds; see
         :meth:`MappingRuns.add_stretch`).
+
+        ``free_pages`` is how many frames ``allocate`` can hand out
+        without reclaiming.  When the whole range's claim fits in it,
+        the claims of back-to-back windows merge into one request:
+        windows do not overlap and nothing is evicted, so each window
+        claims what it would have claimed alone.  Otherwise every window
+        claims before the next one looks at the file, because a claim
+        may reclaim cached pages, this file's included.
+
+        ``last_fill`` ends as the last window's fill (empty on a hit).
         """
-        if not 0 <= index < file.n_pages:
+        if n_pages < 1 or not 0 <= index <= file.n_pages - n_pages:
             raise AddressSpaceError(
-                f"index {index} outside file of {file.n_pages} pages"
+                f"read of {n_pages} pages at index {index} outside file "
+                f"of {file.n_pages} pages"
             )
-        pfn = file.pages.get(index)
-        if pfn is not None:
-            self.last_fill = []
-            return pfn
-        self.fault_count += 1
-        window = min(self.readahead_pages, file.n_pages - index)
-        # Do not re-read pages already resident inside the window.
-        n = 0
-        while n < window and (index + n) not in file.pages:
+        window = self.readahead_pages
+        starts = range(index, index + n_pages, window)
+        merge = sum(self._window_claim(file, s) for s in starts) <= free_pages
+        fill: list[tuple[int, int]] = []
+        seg_start = seg_n = 0
+        for start in starts:
+            n = self._window_claim(file, start)
+            if n:
+                self.fault_count += 1
+                self.readahead_count += n - 1
+                if not seg_n:
+                    seg_start = start
+                seg_n += n
+            # Only a full window's claim runs on into the next window's.
+            if seg_n and not (merge and n == window):
+                fill += self._claim(file, seg_start, seg_n, allocate)
+                seg_n = 0
+        if seg_n:
+            fill += self._claim(file, seg_start, seg_n, allocate)
+        self.last_fill = fill[len(fill) - n:] if n else []
+        return fill
+
+    def _window_claim(self, file: CachedFile, start: int) -> int:
+        """Pages the readahead window at ``start`` claims (0 on a hit)."""
+        pages = file.pages
+        if start in pages:
+            return 0
+        end = min(start + self.readahead_pages, file.n_pages)
+        n = 1
+        while start + n < end and start + n not in pages:
             n += 1
-        pfns = allocate(file, index, n)
+        return n
+
+    def _claim(self, file: CachedFile, start: int, n: int,
+               allocate) -> list[tuple[int, int]]:
+        """Allocate and install pages ``[start, start + n)`` of ``file``."""
+        pfns = allocate(file, start, n)
         if len(pfns) != n:
             raise AddressSpaceError(
                 f"allocator returned {len(pfns)} frames for a {n}-page readahead"
             )
-        self.readahead_count += max(0, n - 1)
         inode = file.inode
-        indices = range(index, index + n)
-        file.pages.update(zip(indices, pfns))
-        self.frame_owner.update(
-            (frame, (inode, i)) for i, frame in zip(indices, pfns)
-        )
+        fill = list(zip(range(start, start + n), pfns))
+        file.pages.update(fill)
+        self.frame_owner.update((frame, (inode, i)) for i, frame in fill)
         runs = self.runs[inode]
         for i, k in frame_stretches(pfns):
-            runs.add_stretch(index + i, pfns[i], k)
-        self.last_fill = list(zip(indices, pfns))
-        return pfns[0]
+            runs.add_stretch(start + i, pfns[i], k)
+        return fill
 
     def drop(self, file: CachedFile, release) -> int:
         """Evict every page of ``file``; returns the number of pages released.

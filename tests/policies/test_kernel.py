@@ -149,8 +149,9 @@ class TestPageCacheIntegration:
     def test_file_read_allocates_frames(self, ca_machine):
         kern = ca_machine.kernel
         f = kern.page_cache.open(256, name="data.bin")
-        pfn = kern.file_read(f, 0)
-        assert pfn >= 0
+        fill = kern.file_read(f, 0)
+        assert [i for i, _ in fill] == list(range(kern.page_cache.readahead_pages))
+        assert all(pfn >= 0 for _, pfn in fill)
         assert f.resident_pages == kern.page_cache.readahead_pages
 
     def test_ca_makes_file_pages_contiguous(self, ca_machine):

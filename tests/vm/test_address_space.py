@@ -193,8 +193,9 @@ class TestPageCache:
     def test_hit_does_not_reallocate(self):
         cache = PageCache(readahead_pages=4)
         f = cache.open(100)
-        pfn = cache.read(f, 1, self._seq_allocator())
-        assert cache.read(f, 1, None) == pfn  # allocator unused on hit
+        fill = cache.read(f, 1, self._seq_allocator())
+        assert cache.read(f, 1, None) == []  # allocator unused on hit
+        assert f.pages[1] == fill[0][1] == 1000
         assert cache.fault_count == 1
 
     def test_window_clamped_at_eof(self):
