@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hw.translation import RunIndex
+
 #: Knuth multiplicative mix — must match the scalar set index exactly.
 _HASH_MULT = 0x9E3779B1
 
@@ -115,6 +117,7 @@ class CoalescedTlb:
         vpns: np.ndarray,
         run_starts: np.ndarray,
         run_lens: np.ndarray,
+        runs: RunIndex | None = None,
     ) -> tuple[int, int]:
         """Batched :meth:`on_miss`; returns (covered, missed).
 
@@ -126,22 +129,22 @@ class CoalescedTlb:
         window covers an access iff the run last installed in it equals
         the access's own run — true for every access except the first
         of each maximal equal-run segment (the previous segment's run
-        differs), while the leading warm-covered prefix of the first
+        id differs), while the leading warm-covered prefix of the first
         segment checks the warm entry's interval directly (state from
         earlier batches need not match this batch's run table).
-        Streams violating the run invariants fall back to the scalar
-        loop (same results, just not batched).
+        ``runs`` indexes the stream's runs (built from the stream when
+        not given); unindexable streams fall back to the scalar loop
+        (same results, just not batched).
         """
         n = int(len(vpns))
         if n == 0:
             return (0, 0)
         vpns = np.ascontiguousarray(vpns, dtype=np.int64)
-        run_starts = np.ascontiguousarray(run_starts, dtype=np.int64)
-        run_lens = np.ascontiguousarray(run_lens, dtype=np.int64)
-
-        from repro.hw.rmm import exact_run_table
-
-        if exact_run_table(vpns, run_starts, run_lens) is None:
+        run_starts = np.asarray(run_starts)
+        run_lens = np.asarray(run_lens)
+        if runs is None:
+            runs = RunIndex.from_stream(vpns, run_starts, run_lens)
+        if runs is None:
             covered = missed = 0
             for v, s, ln in zip(
                 vpns.tolist(), run_starts.tolist(), run_lens.tolist()
@@ -170,20 +173,26 @@ class CoalescedTlb:
             all_sets = np.concatenate([warm_sets, sets])
         else:
             all_windows, all_sets = windows, sets
-        hit_mask, residents = vt.simulate_level(
-            all_windows, all_sets, self.n_sets, self.ways
+        # A consecutive repeat of a window is a sure hit that leaves
+        # every set's LRU order alone: fold repeats out first.
+        keep = np.ones(all_windows.size, dtype=bool)
+        np.not_equal(all_windows[1:], all_windows[:-1], out=keep[1:])
+        kept_hit, residents = vt.simulate_level(
+            all_windows[keep], all_sets[keep], self.n_sets, self.ways
         )
+        hit_mask = np.ones(all_windows.size, dtype=bool)
+        hit_mask[keep] = kept_hit
         key_hit = hit_mask[len(warm_keys):]
 
         # Group the stream by window; segment boundaries where the run
         # changes within a group.
-        order = np.argsort(windows, kind="stable")
+        order = _stable_order(windows)
         w_sorted = windows[order]
-        rs_sorted = run_starts[order]
+        id_sorted = runs.ids[order]
         hit_sorted = key_hit[order]
         group_first = np.concatenate(([True], w_sorted[1:] != w_sorted[:-1]))
         seg_first = group_first | np.concatenate(
-            ([True], rs_sorted[1:] != rs_sorted[:-1])
+            ([True], id_sorted[1:] != id_sorted[:-1])
         )
         covered_sorted = hit_sorted & ~seg_first
 
@@ -224,20 +233,28 @@ class CoalescedTlb:
         covered = n - missed
 
         # Install accounting: every miss installs run ∩ window.
-        lo = (vpns >> self.span_order) << self.span_order
-        clip_len = np.minimum(run_starts + run_lens, lo + self.span_pages) - np.maximum(
-            run_starts, lo
-        )
-        pages_sum = int(clip_len[miss_mask].sum())
+        miss_rows = runs.ids[miss_mask]
+        cstart = runs.starts[miss_rows]
+        cend = cstart + runs.lens[miss_rows]
+        lo = windows[miss_mask] << self.span_order
+        np.maximum(cstart, lo, out=cstart)
+        np.minimum(cend, lo + self.span_pages, out=cend)
+        pages_sum = int((cend - cstart).sum())
 
-        # Final coverage per window = clip of the *last* miss's run
-        # (windows with no miss keep their warm coverage).
+        # Final coverage per resident window = clip of the *last* miss's
+        # run (windows with no miss keep their warm coverage; evicted
+        # windows leave no state).
         final_cov: dict[int, tuple[int, int]] = {}
         miss_sorted_pos = np.flatnonzero(~covered_sorted)
         if miss_sorted_pos.size:
             w_miss = w_sorted[miss_sorted_pos]
             last_of_group = np.concatenate((w_miss[1:] != w_miss[:-1], [True]))
-            for p in miss_sorted_pos[last_of_group].tolist():
+            last_pos = miss_sorted_pos[last_of_group]
+            resident = np.asarray(
+                [w for r in residents for w in r], dtype=np.int64
+            )
+            last_pos = last_pos[np.isin(w_sorted[last_pos], resident)]
+            for p in last_pos.tolist():
                 i = int(order[p])
                 window = int(windows[i])
                 cstart, cend = self._clip(
@@ -256,6 +273,24 @@ class CoalescedTlb:
         self.stats.missed += missed
         self.stats.pages_covered_sum += pages_sum
         return (covered, missed)
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for int64 keys.
+
+    Packing each position into the low bits of its key makes a plain
+    sort stable and keeps numpy on its fast unstable path; keys too
+    wide to pack (or negative) take the stable argsort.
+    """
+    n = keys.size
+    shift = n.bit_length()
+    if n and int(keys.min()) >= 0 and int(keys.max()) < 1 << (62 - shift):
+        packed = keys << shift
+        packed |= np.arange(n, dtype=np.int64)
+        packed.sort()
+        packed &= np.int64((1 << shift) - 1)
+        return packed
+    return np.argsort(keys, kind="stable")
 
 
 def ctlb_entries_for_coverage(

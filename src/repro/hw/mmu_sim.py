@@ -20,7 +20,7 @@ from repro.hw.segmentation import OUTSIDE, SegmentationUnit
 from repro.hw.spot import CORRECT, MISPREDICT, NO_PREDICTION, SpotPredictor
 from repro.hw.utopia import REST_HIT, UtopiaMapper
 from repro.hw.tlb import TlbHierarchy
-from repro.hw.translation import ResolvedTrace, TranslationView
+from repro.hw.translation import ResolvedTrace, RunIndex, TranslationView
 from repro.metrics.perf_model import PerfModel, WalkCosts
 from repro.sim.config import HardwareConfig
 from repro.workloads.base import AccessTrace, Workload
@@ -224,11 +224,14 @@ class MmuSimulator:
         numpy; the surviving page walks then go through each scheme's
         *batched* machine (:meth:`SpotPredictor.on_walks_batch`,
         :meth:`RangeTlb.on_miss_batch`, :meth:`DirectSegment.
+        on_miss_batch`, :meth:`CoalescedTlb.on_miss_batch`,
+        :meth:`UtopiaMapper.on_miss_batch`, :meth:`SegmentationUnit.
         on_miss_batch`, :meth:`WalkSimulator.walk_batch`) over the
-        whole miss stream at once.  The schemes share no state, so
-        batching per scheme instead of interleaving per miss leaves
-        every counter and every machine's end state bit-identical to
-        the scalar loop.
+        whole miss stream at once.  The four run-keyed machines share
+        one :class:`RunIndex`, built from the view's run table and the
+        walks' run ids.  The schemes share no state, so batching per
+        scheme instead of interleaving per miss leaves every counter and
+        every machine's end state bit-identical to the scalar loop.
         """
         levels = self.tlb.simulate(t.entry_base, t.entry_huge)
         walk_idx = np.flatnonzero(levels == 2)
@@ -238,6 +241,7 @@ class MmuSimulator:
         if walk_idx.size == 0:
             return
         w = _walk_slice(t, walk_idx)
+        del levels, walk_idx  # keep the replay's peak memory down
         if self.walk_sim is not None:
             self.walk_sim.walk_batch(w.vpn, w.entry_huge)
         correct, mispredict, no_prediction = self.spot.on_walks_batch(
@@ -246,17 +250,19 @@ class MmuSimulator:
         result.spot_correct += correct
         result.spot_mispredict += mispredict
         result.spot_no_prediction += no_prediction
-        _, _, uncovered = self.rmm.on_miss_batch(w.vpn, w.run_start, w.run_len)
+        # A refused index (None) leaves each machine to index the
+        # stream itself, or to take its scalar loop.
+        runs = RunIndex.from_view(self.view, w)
+        stream = (w.vpn, w.run_start, w.run_len, runs)
+        _, _, uncovered = self.rmm.on_miss_batch(*stream)
         result.rmm_uncovered += uncovered
         result.ds_outside += self.ds.on_miss_batch(w.in_segment)
-        _, missed = self.ctlb.on_miss_batch(w.vpn, w.run_start, w.run_len)
+        _, missed = self.ctlb.on_miss_batch(*stream)
         result.ctlb_uncovered += missed
-        rest, flex = self.utopia.on_miss_batch(w.vpn, w.run_start, w.run_len)
+        rest, flex = self.utopia.on_miss_batch(*stream)
         result.utopia_rest += rest
         result.utopia_flex += flex
-        _, _, _, outside = self.seg.on_miss_batch(
-            w.vpn, w.run_start, w.run_len
-        )
+        _, _, _, outside = self.seg.on_miss_batch(*stream)
         result.seg_outside += outside
 
 
@@ -276,7 +282,7 @@ def _walk_slice(t: ResolvedTrace, walk_idx: np.ndarray) -> ResolvedTrace:
         entry_huge=t.entry_huge[walk_idx],
         contig=t.contig[walk_idx],
         in_segment=t.in_segment[walk_idx],
-        range_covered=t.range_covered,
         run_start=t.run_start[walk_idx],
         run_len=t.run_len[walk_idx],
+        run_id=t.run_id[walk_idx],
     )

@@ -20,40 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hw.translation import RunIndex
 
 RANGE_HIT = "range_hit"
 RANGE_FILL = "range_fill"
 UNCOVERED = "uncovered"
-
-
-def exact_run_table(
-    vpns: np.ndarray, run_starts: np.ndarray, run_lens: np.ndarray
-):
-    """The unique sorted ``(starts, lens)`` run table when the stream
-    satisfies the batched schemes' shared invariants, else None.
-
-    Every batched per-miss machine that reasons per *run* instead of per
-    access (vRMM, the coalesced TLB, Utopia) relies on the same three
-    stream properties: each access lies inside its own run, equal run
-    starts imply equal lengths, and runs are disjoint.  All three hold
-    by construction for a :class:`~repro.hw.translation.ResolvedTrace`;
-    adversarial streams return None and the callers fall back to their
-    scalar loops.
-    """
-    if not ((run_starts <= vpns) & (vpns < run_starts + run_lens)).all():
-        return None
-    order = np.argsort(run_starts, kind="stable")
-    s = run_starts[order]
-    ln = run_lens[order]
-    same = s[1:] == s[:-1]
-    if (ln[1:][same] != ln[:-1][same]).any():
-        return None  # one start, two lengths
-    first = np.concatenate(([True], ~same))
-    su = s[first]
-    lu = ln[first]
-    if (su[1:] < su[:-1] + lu[:-1]).any():
-        return None  # overlapping runs
-    return su, lu
 
 
 @dataclass
@@ -119,31 +90,34 @@ class RangeTlb:
         vpns: np.ndarray,
         run_starts: np.ndarray,
         run_lens: np.ndarray,
+        runs: RunIndex | None = None,
     ) -> tuple[int, int, int]:
         """Batched :meth:`on_miss`; returns (hits, fills, uncovered).
 
-        When every access lies inside its own run and the runs form a
-        consistent disjoint set (always true for a
-        :class:`~repro.hw.translation.ResolvedTrace`), a miss hits the
-        range TLB iff its *own* run is resident, so the whole stream
-        reduces to fully-associative LRU over ``run_start`` keys —
-        resolved in one :func:`~repro.hw.vector_tlb.simulate_level`
-        call over the rangeable (``run_len >= min_range_pages``)
-        subset; shorter runs are never filled, so they are uncovered
-        and perturb nothing.  Warm or inconsistent streams fall back to
-        the per-miss loop (same results, just not batched).
+        ``runs`` indexes the stream's runs (built from the stream when
+        not given).  Runs are disjoint and every access lies inside its
+        own run, so a miss hits the range TLB iff its *own* run is
+        resident and the whole stream reduces to fully-associative LRU
+        over run ids — resolved in one
+        :func:`~repro.hw.vector_tlb.simulate_level` call over the
+        rangeable (``run_len >= min_range_pages``) subset; shorter runs
+        are never filled, so they are uncovered and perturb nothing.
+        Consecutive rangeable misses to one run are folded first: the
+        repeat is a sure hit and leaves the LRU order unchanged.  Warm
+        or unindexable streams fall back to the per-miss loop (same
+        results, just not batched).
         """
         n = int(len(vpns))
         if n == 0:
             return (0, 0, 0)
-        vpns = np.ascontiguousarray(vpns, dtype=np.int64)
-        run_starts = np.ascontiguousarray(run_starts, dtype=np.int64)
-        run_lens = np.ascontiguousarray(run_lens, dtype=np.int64)
-        runs = self._batch_exact(vpns, run_starts, run_lens)
+        if runs is None and not self._ranges:
+            runs = RunIndex.from_stream(vpns, run_starts, run_lens)
         if self._ranges or runs is None:
             hits = fills = uncovered = 0
             for v, s, ln in zip(
-                vpns.tolist(), run_starts.tolist(), run_lens.tolist()
+                np.asarray(vpns).tolist(),
+                np.asarray(run_starts).tolist(),
+                np.asarray(run_lens).tolist(),
             ):
                 outcome = self.on_miss(v, s, ln)
                 if outcome == RANGE_HIT:
@@ -156,33 +130,31 @@ class RangeTlb:
 
         from repro.hw import vector_tlb as vt
 
-        rangeable = run_lens >= self.min_range_pages
-        n_rangeable = int(rangeable.sum())
+        keys = runs.ids[(runs.lens >= self.min_range_pages)[runs.ids]]
+        n_rangeable = int(keys.size)
         uncovered = n - n_rangeable
         hits = fills = 0
         if n_rangeable:
-            starts = run_starts[rangeable]
+            change = np.ones(n_rangeable, dtype=bool)
+            np.not_equal(keys[1:], keys[:-1], out=change[1:])
+            folded = keys[change].astype(np.int64)
             hit_mask, residents = vt.simulate_level(
-                starts,
-                np.zeros(n_rangeable, dtype=np.int32),
+                folded,
+                np.zeros(folded.size, dtype=np.int32),
                 1,
                 self.entries,
             )
-            hits = int(hit_mask.sum())
-            fills = n_rangeable - hits
-            # End VPN of each resident range, via the unique run table
-            # (at most ``entries`` lookups).
-            su, lu = runs
-            pos = np.searchsorted(su, np.asarray(residents[0], dtype=np.int64))
-            ends = (su[pos] + lu[pos]).tolist()
-            self._ranges = dict(zip(residents[0], ends))
+            fills = folded.size - int(hit_mask.sum())
+            hits = n_rangeable - fills
+            rows = np.asarray(residents[0], dtype=np.int64)
+            starts = runs.starts[rows]
+            self._ranges = dict(
+                zip(starts.tolist(), (starts + runs.lens[rows]).tolist())
+            )
         self.stats.range_hits += hits
         self.stats.range_fills += fills
         self.stats.uncovered += uncovered
         return (hits, fills, uncovered)
-
-    #: Shared stream validator (kept as an attribute for back-compat).
-    _batch_exact = staticmethod(exact_run_table)
 
 
 def ranges_for_coverage(run_sizes: list[int], footprint_pages: int,

@@ -15,11 +15,11 @@ space, they are never re-packed around scattered mappings), so every
 later miss to it pays the nested 4K walk — the same residual-overhead
 accounting DS gets for out-of-segment accesses.
 
-First-touch-decides makes the scheme batch-exact with no stream
-preconditions: an access's outcome depends only on its run's absorbed/
-rejected status, which :meth:`SegmentationUnit.on_miss_batch` resolves
-by replaying just the *distinct* runs (in first-appearance order)
-through the scalar classifier.
+First-touch-decides makes the scheme batch-exact: an access's outcome
+depends only on its run's absorbed/rejected status, which
+:meth:`SegmentationUnit.on_miss_batch` resolves by replaying just the
+*distinct* runs (in first-appearance order, grouped by the stream's
+:class:`~repro.hw.translation.RunIndex`) through the scalar classifier.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.hw.translation import RunIndex
 
 INSIDE = "inside"
 GROW = "grow"
@@ -96,39 +98,45 @@ class SegmentationUnit:
         vpns: np.ndarray,
         run_starts: np.ndarray,
         run_lens: np.ndarray,
+        runs: RunIndex | None = None,
     ) -> tuple[int, int, int, int]:
         """Batched :meth:`on_miss`; returns (inside, grows, fills, outside).
 
-        Exact for *every* stream: outcomes depend only on each run's
-        first touch (which this replays through the scalar classifier,
-        preserving stream order among distinct runs) — later accesses
-        to the same run are INSIDE if it was absorbed, OUTSIDE if not.
-        Scalar state (segment geometry, assignment and rejection
-        orders) is touched only by those first-touch calls, so it ends
-        bit-identical by construction.  Later accesses of an absorbed
-        run are INSIDE regardless of their own (possibly inconsistent)
-        run geometry — exactly like the scalar path, which ignores
-        geometry once a run is assigned.
+        Outcomes depend only on each run's first touch, which this
+        replays through the scalar classifier (preserving stream order
+        among distinct runs) — later accesses to the same run are
+        INSIDE if it was absorbed, OUTSIDE if not.  Scalar state
+        (segment geometry, assignment and rejection orders) is touched
+        only by those first-touch calls, so it ends bit-identical by
+        construction.  ``runs`` indexes the stream's runs (built from
+        the stream when not given); unindexable streams fall back to
+        the per-miss loop.
         """
         n = int(len(vpns))
         if n == 0:
             return (0, 0, 0, 0)
-        run_starts = np.ascontiguousarray(run_starts, dtype=np.int64)
-        run_lens = np.ascontiguousarray(run_lens, dtype=np.int64)
-        vpns = np.ascontiguousarray(vpns, dtype=np.int64)
+        if runs is None:
+            runs = RunIndex.from_stream(vpns, run_starts, run_lens)
+        if runs is None:
+            counts = {INSIDE: 0, GROW: 0, FILL: 0, OUTSIDE: 0}
+            for v, s, ln in zip(
+                np.asarray(vpns).tolist(),
+                np.asarray(run_starts).tolist(),
+                np.asarray(run_lens).tolist(),
+            ):
+                counts[self.on_miss(v, s, ln)] += 1
+            return (counts[INSIDE], counts[GROW], counts[FILL], counts[OUTSIDE])
 
-        order = np.argsort(run_starts, kind="stable")
-        s_sorted = run_starts[order]
-        group_first = np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))
-        group_starts = np.flatnonzero(group_first)
-        group_ends = np.append(group_starts[1:], n)
-        by_stream = np.argsort(order[group_starts], kind="stable")
-
+        # Distinct runs in first-touch order, each with its walks.
+        rows, order, begins, ends = runs.groups
+        first_vpns = np.asarray(vpns)[order[begins]].tolist()
         inside = grows = fills = outside = 0
-        for g in by_stream.tolist():
-            lo, hi = int(group_starts[g]), int(group_ends[g])
-            start = int(s_sorted[lo])
-            size = hi - lo
+        for start, length, vpn, size in zip(
+            runs.starts[rows].tolist(),
+            runs.lens[rows].tolist(),
+            first_vpns,
+            (ends - begins).tolist(),
+        ):
             if start in self._assigned:
                 self.stats.inside += size
                 inside += size
@@ -137,10 +145,7 @@ class SegmentationUnit:
                 self.stats.outside += size
                 outside += size
                 continue
-            first = int(order[lo:hi].min())
-            outcome = self.on_miss(
-                int(vpns[first]), start, int(run_lens[first])
-            )
+            outcome = self.on_miss(vpn, start, length)
             if outcome == GROW:
                 grows += 1
             elif outcome == FILL:

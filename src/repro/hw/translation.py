@@ -11,6 +11,7 @@ TLB loop stays lean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,12 +34,115 @@ class ResolvedTrace:
     entry_huge: np.ndarray
     contig: np.ndarray
     in_segment: np.ndarray
-    range_covered: np.ndarray
     run_start: np.ndarray
     run_len: np.ndarray
+    #: Row of each access's run in the view's sorted run table (int32).
+    run_id: np.ndarray
 
     def __len__(self) -> int:
         return len(self.vpn)
+
+
+def _inside(vpns: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> bool:
+    """Whether every access lies inside its own run."""
+    return bool(((starts <= vpns) & (vpns < starts + lens)).all())
+
+
+@dataclass(frozen=True, eq=False)
+class RunIndex:
+    """Each walk's row in one sorted, disjoint run table.
+
+    The batched scheme machines that reason per *run* instead of per
+    access (vRMM, the coalesced TLB, Utopia, segmentation) rely on three
+    stream properties: each access lies inside its own run, equal run
+    starts imply equal lengths, and runs are disjoint.  An index exists
+    only when all three hold — both builders return None otherwise and
+    the machines fall back to their scalar loops.  One index serves
+    every machine of a replay.
+    """
+
+    #: Run start VPNs, strictly increasing (int64).
+    starts: np.ndarray
+    #: Run lengths in pages, per row (int64).
+    lens: np.ndarray
+    #: Each walk's row in ``starts``/``lens`` (int32).
+    ids: np.ndarray
+
+    @classmethod
+    def from_view(
+        cls, view: TranslationView, walks: ResolvedTrace
+    ) -> RunIndex | None:
+        """Index of resolved walks over their view's own run table.
+
+        The table is checked once (sorted, disjoint) and each walk with
+        vectorized compares against its row — no sort.
+        """
+        starts = view.starts
+        lens = view.lengths.astype(np.int64)
+        if (starts[1:] <= starts[:-1]).any() or (
+            starts[1:] < starts[:-1] + lens[:-1]
+        ).any():
+            return None
+        ids = np.asarray(walks.run_id, dtype=np.int32)
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= starts.size):
+            return None
+        s = starts[ids]
+        ln = lens[ids]
+        if not (
+            np.array_equal(s, walks.run_start)
+            and np.array_equal(ln, walks.run_len)
+            and _inside(walks.vpn, s, ln)
+        ):
+            return None
+        return cls(starts, lens, ids)
+
+    @classmethod
+    def from_stream(
+        cls, vpns: np.ndarray, run_starts: np.ndarray, run_lens: np.ndarray
+    ) -> RunIndex | None:
+        """Index of a raw ``(vpns, run_starts, run_lens)`` stream: its
+        distinct runs become the table (one sort)."""
+        vpns = np.asarray(vpns, dtype=np.int64)
+        run_starts = np.asarray(run_starts, dtype=np.int64)
+        run_lens = np.asarray(run_lens, dtype=np.int64)
+        if not _inside(vpns, run_starts, run_lens):
+            return None
+        order = np.argsort(run_starts)
+        s = run_starts[order]
+        ln = run_lens[order]
+        first = np.ones(s.size, dtype=bool)
+        np.not_equal(s[1:], s[:-1], out=first[1:])
+        same = ~first[1:]
+        if (ln[1:][same] != ln[:-1][same]).any():
+            return None  # one start, two lengths
+        su = s[first]
+        lu = ln[first]
+        if (su[1:] < su[:-1] + lu[:-1]).any():
+            return None  # overlapping runs
+        ids = np.empty(s.size, dtype=np.int32)
+        ids[order] = np.cumsum(first, dtype=np.int32) - 1
+        return cls(su, lu, ids)
+
+    @cached_property
+    def groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Walks grouped by run, runs in first-touch order.
+
+        Returns ``(runs, order, begins, ends)``: ``runs[g]`` is the
+        ``g``-th distinct row touched, and its walks are
+        ``order[begins[g]:ends[g]]`` in stream order.  A counting sort:
+        one ``bincount`` plus a stable sort of the id, narrowed to 16
+        bits when the table allows (numpy radix-sorts those).
+        """
+        counts = np.bincount(self.ids, minlength=self.starts.size)
+        key = self.ids
+        if self.starts.size <= 1 << 16:
+            key = key.astype(np.uint16)
+        order = np.argsort(key, kind="stable")
+        present = np.flatnonzero(counts)
+        ends = np.cumsum(counts[present])
+        begins = ends - counts[present]
+        by_touch = np.argsort(order[begins])
+        return present[by_touch], order, begins[by_touch], ends[by_touch]
 
 
 class TranslationView:
@@ -62,7 +166,6 @@ class TranslationView:
         huge_regions: np.ndarray,
         segment_bounds: list[tuple[int, int]],
         contig_threshold: int = 32,
-        range_min_pages: int = 32,
         virtualized: bool = False,
     ):
         snapshot = runs.snapshot()
@@ -73,7 +176,6 @@ class TranslationView:
         self.huge_regions = np.asarray(huge_regions, dtype=np.int64)
         self.segment_bounds = segment_bounds
         self.contig_threshold = contig_threshold
-        self.range_min_pages = range_min_pages
         self.virtualized = virtualized
 
     # -- constructors -----------------------------------------------------
@@ -232,7 +334,6 @@ class TranslationView:
         ppn = self.ppns[idx_clipped] + (vpn - starts)
         run_len = self.lengths[idx_clipped]
         contig = run_len >= self.contig_threshold
-        range_covered = run_len >= self.range_min_pages
         entry_base = np.where(entry_huge, region, vpn)
 
         return ResolvedTrace(
@@ -243,9 +344,9 @@ class TranslationView:
             entry_huge=entry_huge,
             contig=contig,
             in_segment=in_segment,
-            range_covered=range_covered,
             run_start=starts,
             run_len=run_len,
+            run_id=idx.astype(np.int32, copy=False),
         )
 
 

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.hw.translation import RunIndex
+
 REST_HIT = "rest_hit"
 FLEX_WALK = "flex_walk"
 
@@ -95,6 +97,7 @@ class UtopiaMapper:
         vpns: np.ndarray,
         run_starts: np.ndarray,
         run_lens: np.ndarray,
+        runs: RunIndex | None = None,
     ) -> tuple[int, int]:
         """Batched :meth:`on_miss`; returns (rest_hits, flex_walks).
 
@@ -105,22 +108,21 @@ class UtopiaMapper:
         capacity never grows, so a run refused there is refused forever
         — and admission replays the candidates in stream order against
         the running capacity, exactly as the scalar loop would.
-        Streams violating the run invariants (inconsistent lengths,
-        access outside its run) fall back to the per-miss loop.
+        ``runs`` indexes the stream's runs (built from the stream when
+        not given); unindexable streams (inconsistent lengths, access
+        outside its run) fall back to the per-miss loop.
         """
         n = int(len(vpns))
         if n == 0:
             return (0, 0)
-        vpns = np.ascontiguousarray(vpns, dtype=np.int64)
-        run_starts = np.ascontiguousarray(run_starts, dtype=np.int64)
-        run_lens = np.ascontiguousarray(run_lens, dtype=np.int64)
-
-        from repro.hw.rmm import exact_run_table
-
-        if exact_run_table(vpns, run_starts, run_lens) is None:
+        if runs is None:
+            runs = RunIndex.from_stream(vpns, run_starts, run_lens)
+        if runs is None:
             rest = flex = 0
             for v, s, ln in zip(
-                vpns.tolist(), run_starts.tolist(), run_lens.tolist()
+                np.asarray(vpns).tolist(),
+                np.asarray(run_starts).tolist(),
+                np.asarray(run_lens).tolist(),
             ):
                 if self.on_miss(v, s, ln) == REST_HIT:
                     rest += 1
@@ -128,25 +130,19 @@ class UtopiaMapper:
                     flex += 1
             return (rest, flex)
 
-        # Distinct runs in first-appearance order.
-        order = np.argsort(run_starts, kind="stable")
-        s_sorted = run_starts[order]
-        group_first = np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))
-        group_starts = np.flatnonzero(group_first)
-        group_ends = np.append(group_starts[1:], n)
-        first_pos = order[group_starts]
-        by_stream = np.argsort(first_pos, kind="stable")
-
+        # Distinct runs in first-touch order, each with its walks.
+        rows, order, begins, ends = runs.groups
         rest = flex = 0
-        candidates = []  # (promotion stream position, run_start, run_len, size)
-        for g in by_stream.tolist():
-            lo, hi = int(group_starts[g]), int(group_ends[g])
-            start = int(s_sorted[lo])
-            size = hi - lo
+        candidates = []  # (promotion stream position, run_start, run_len, size, need)
+        for start, length, lo, size in zip(
+            runs.starts[rows].tolist(),
+            runs.lens[rows].tolist(),
+            begins.tolist(),
+            (ends - begins).tolist(),
+        ):
             if start in self._promoted:
                 rest += size
                 continue
-            length = int(run_lens[order[lo]])
             c0 = self._miss_counts.get(start, 0)
             # A run already past the threshold was refused for capacity
             # before; capacity is monotone, so it re-candidates at its
@@ -160,8 +156,10 @@ class UtopiaMapper:
             # Insert the key now so ``_miss_counts`` keeps first-touch
             # order (the admission loop below only updates values).
             self._miss_counts[start] = c0
-            positions = np.sort(order[lo:hi])
-            candidates.append((int(positions[need - 1]), start, length, size, need))
+            # ``order`` lists each run's walks in stream order.
+            candidates.append(
+                (int(order[lo + need - 1]), start, length, size, need)
+            )
 
         # Admit candidates in stream order against the running capacity.
         for pos, start, length, size, need in sorted(candidates):

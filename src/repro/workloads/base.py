@@ -181,17 +181,21 @@ class Workload:
         weights = np.array([s.weight for s in sites], dtype=float)
         weights /= weights.sum()
         choice = rng.choice(len(sites), size=n_accesses, p=weights)
-        pc = np.empty(n_accesses, dtype=np.int32)
-        vma = np.empty(n_accesses, dtype=np.int16)
+        pc = np.array([s.pc for s in sites], dtype=np.int32)[choice]
+        vma = np.array([s.vma for s in sites], dtype=np.int16)[choice]
+        # Group the accesses by site with one stable sort (a narrow key
+        # radix-sorts): each site's slice of ``order`` lists its
+        # accesses in stream order.
+        key = choice.astype(np.uint8) if len(sites) <= 256 else choice
+        order = np.argsort(key, kind="stable")
+        counts = np.bincount(choice, minlength=len(sites)).tolist()
         page = np.empty(n_accesses, dtype=np.int64)
-        for i, site in enumerate(sites):
-            mask = choice == i
-            k = int(mask.sum())
+        end = 0
+        for site, k in zip(sites, counts):
             if k == 0:
                 continue
-            pc[mask] = site.pc
-            vma[mask] = site.vma
-            page[mask] = self._pattern_pages(site, k, rng)
+            page[order[end:end + k]] = self._pattern_pages(site, k, rng)
+            end += k
         return AccessTrace(pc=pc, vma=vma, page=page)
 
     def _pattern_pages(self, site: TraceSite, k: int, rng) -> np.ndarray:

@@ -5,7 +5,8 @@ agreement.  The per-machine differentials (TLB hierarchy included) live
 in the scheme-conformance battery (``tests/hw/test_conformance.py``);
 here we pin what the battery cannot: the hash/set-index replication
 against CPython directly — the whole construction stands on it — and
-the full :class:`MmuSimResult` across engines on real memory states.
+the full :class:`MmuSimResult` plus every run-keyed scheme machine's
+end state across engines on real memory states.
 """
 
 from dataclasses import asdict
@@ -22,6 +23,7 @@ from repro.sim.runner import RunOptions, run_native, run_virtualized
 from repro.units import order_pages
 from repro.virt.hypervisor import VirtualMachine
 from repro.workloads import make_workload
+from tests.hw.conformance import ctlb_state, rmm_state, seg_state, utopia_state
 from tests.policies.conftest import SMALL
 
 
@@ -53,43 +55,87 @@ def native_state(workload_name="svm"):
     return wl, result
 
 
-def virt_state(workload_name="svm"):
-    host = build_machine("ca", SMALL)
+def virt_state(workload_name="svm", policy="ca"):
+    host = build_machine(policy, SMALL)
     guest_pages = sum(SMALL.node_pages)
     guest_pages -= guest_pages % order_pages(SMALL.max_order)
-    vm = VirtualMachine(host, guest_pages, "ca")
+    vm = VirtualMachine(host, guest_pages, policy)
     wl = make_workload(workload_name, TEST_SCALE)
     r = run_virtualized(vm, wl, RunOptions(sample_every=None, exit_after=False))
     return vm, wl, r
 
 
-def run_engine(view, trace, starts, wl, engine):
-    sim = MmuSimulator(view, HardwareConfig(), engine=engine)
-    return asdict(sim.run(trace, starts, workload=wl))
+def scheme_states(sim):
+    """End state of every run-keyed scheme machine, orders included."""
+    return (
+        rmm_state(sim.rmm),
+        ctlb_state(sim.ctlb),
+        utopia_state(sim.utopia),
+        seg_state(sim.seg),
+    )
+
+
+def run_engine(view, trace, starts, wl, engine, hw=None):
+    sim = MmuSimulator(view, hw or HardwareConfig(), engine=engine)
+    return asdict(sim.run(trace, starts, workload=wl)), scheme_states(sim), sim
+
+
+def assert_engines_agree(view, trace, starts, wl, hw=None):
+    """Scalar and vector engines: same counters, same machine states;
+    returns the vector run's counters and simulator."""
+    scalar, scalar_states, _ = run_engine(view, trace, starts, wl, "scalar", hw)
+    vector, vector_states, sim = run_engine(view, trace, starts, wl, "vector", hw)
+    assert scalar == vector
+    assert scalar_states == vector_states
+    return vector, sim
 
 
 class TestMmuSimulatorDifferential:
     def test_native_thp(self):
         wl, r = native_state()
         view = TranslationView.native(r.process)
-        trace = wl.trace(30_000)
-        assert run_engine(view, trace, r.vma_start_vpns, wl, "scalar") == \
-            run_engine(view, trace, r.vma_start_vpns, wl, "vector")
+        assert_engines_agree(view, wl.trace(30_000), r.vma_start_vpns, wl)
 
     def test_native_4k_forced(self):
         wl, r = native_state()
         view = TranslationView.native(r.process, force_4k=True)
-        trace = wl.trace(30_000)
-        scalar = run_engine(view, trace, r.vma_start_vpns, wl, "scalar")
-        vector = run_engine(view, trace, r.vma_start_vpns, wl, "vector")
-        assert scalar == vector
-        assert not scalar["huge"]
+        result, _ = assert_engines_agree(
+            view, wl.trace(30_000), r.vma_start_vpns, wl
+        )
+        assert not result["huge"]
 
     def test_virtualized(self):
         vm, wl, r = virt_state()
         view = TranslationView.virtualized(vm, r.process)
-        trace = wl.trace(30_000)
-        scalar = run_engine(view, trace, r.vma_start_vpns, wl, "scalar")
-        vector = run_engine(view, trace, r.vma_start_vpns, wl, "vector")
-        assert scalar == vector
-        assert scalar["virtualized"]
+        result, _ = assert_engines_agree(
+            view, wl.trace(30_000), r.vma_start_vpns, wl
+        )
+        assert result["virtualized"]
+
+    def test_virtualized_4k_range_tlb_evicts(self):
+        """THP+THP splinters xsbench into dozens of 2D runs, more than
+        the range TLB holds."""
+        vm, wl, r = virt_state("xsbench", policy="thp")
+        view = TranslationView.virtualized(vm, r.process, force_4k=True)
+        result, sim = assert_engines_agree(
+            view, wl.trace(20_000), r.vma_start_vpns, wl
+        )
+        assert not result["huge"]
+        assert sim.rmm.stats.range_fills > sim.rmm.entries
+
+    def test_utopia_refuses_promotions(self):
+        """A small RestSeg admits a few runs and refuses the rest; two
+        segments reject most runs."""
+        vm, wl, r = virt_state("xsbench", policy="thp")
+        view = TranslationView.virtualized(vm, r.process, force_4k=True)
+        hw = HardwareConfig(utopia_restseg_pages=4096, seg_max_segments=2)
+        _, sim = assert_engines_agree(
+            view, wl.trace(20_000), r.vma_start_vpns, wl, hw
+        )
+        u = sim.utopia
+        refused = [
+            start for start, count in u._miss_counts.items()
+            if count >= u.promote_after and start not in u._promoted
+        ]
+        assert u.stats.promotions > 0 and refused
+        assert sim.seg._rejected
