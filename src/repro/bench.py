@@ -3,12 +3,11 @@
 One command with two forms, both writing one report schema:
 
 - **suite** (``--scale quick|default|big``, :func:`run_suite_bench`):
-  the experiment suite run four times — serially, through the DAG
-  fan-out against a cold two-tier cache, again warm, and once more
-  from a fresh local L1 against the now-warm shared HTTP tier — with
-  the serialized results asserted byte-identical across all four
-  passes.  Their ``results_sha256`` is the oracle every simplification
-  is checked against.
+  the experiment suite run three times — serially, through the DAG
+  fan-out against a cold cache, and again warm — with the serialized
+  results asserted byte-identical across all three passes.  Their
+  ``results_sha256`` is the oracle every simplification is checked
+  against.
 - **paper** (``--scale paper``, :func:`run_paper_bench`): one fault
   cell at face-value footprints — Ingens on ``bt``, the anonymous
   allocation phase through ``Kernel.touch_range`` on the production
@@ -149,15 +148,7 @@ def _suite_pass(scale: ScaleProfile, names: list[str], jobs: int,
         blob, seconds = run_suite_grid(scale, names, executor)
     finally:
         executor.close()
-    stats = asdict(executor.stats)
-    if cache is not None and cache.tier is not None:
-        stats["tier"] = {
-            "hits": cache.tier_hits,
-            "misses": cache.tier_misses,
-            "stores": cache.tier_stores,
-            "errors": cache.tier_errors,
-        }
-    return blob, seconds, stats
+    return blob, seconds, asdict(executor.stats)
 
 
 def run_suite_bench(
@@ -166,21 +157,16 @@ def run_suite_bench(
     experiments: tuple[str, ...] | None = None,
     cache_root: str | Path | None = None,
 ) -> dict:
-    """Serial vs parallel-cold vs parallel-warm vs two-tier-cold.
+    """Serial vs parallel-cold vs parallel-warm.
 
-    The same experiment suite runs four times and the four serialized
+    The same experiment suite runs three times and the three serialized
     result sets are compared byte for byte:
 
     - ``serial`` — one process, no cache (what ``repro suite --jobs 1
       --no-cache`` runs): the baseline the speedups are against.
-    - ``parallel_cold`` — the ``jobs``-wide DAG fan-out, empty local
-      L1, write-through to a live shared HTTP tier (a real in-process
-      ``repro serve``).
-    - ``parallel_warm`` — the same L1 again, now populated.
-    - ``two_tier_cold`` — a **fresh, empty** local L1 against the warm
-      shared tier: every cell must arrive by digest over the wire
-      (the second-worker / resumed-suite scenario), so its ``tier``
-      hit count is the federation proof CI checks.
+    - ``parallel_cold`` — the ``jobs``-wide DAG fan-out against an
+      empty cache.
+    - ``parallel_warm`` — the same cache again, now populated.
 
     ``cache_root`` (a scratch directory; **cleared** before the cold
     pass so cold means cold) defaults to a private temp dir.
@@ -189,8 +175,7 @@ def run_suite_bench(
     import tempfile
 
     from repro.cli import EXPERIMENTS, SCALES
-    from repro.serve.server import ServerThread
-    from repro.sim.cache import HttpCacheTier, RunCache
+    from repro.sim.cache import RunCache
 
     scale = SCALES[scale_name]
     names = list(experiments) if experiments else list(EXPERIMENTS)
@@ -205,22 +190,15 @@ def run_suite_bench(
     blobs: dict[str, bytes] = {}
     passes: dict[str, tuple[float, dict]] = {}
     try:
-        for sub in ("shared", "l1", "l1-fresh"):
-            RunCache(root / sub).clear()
-        with ServerThread(cache=RunCache(root / "shared")) as server:
-            url = f"http://127.0.0.1:{server.port}"
-            for name, pass_jobs, sub in (("serial", 1, None),
-                                         ("parallel_cold", jobs, "l1"),
-                                         ("parallel_warm", jobs, "l1"),
-                                         ("two_tier_cold", jobs, "l1-fresh")):
-                cache = (
-                    None if sub is None
-                    else RunCache(root / sub, tier=HttpCacheTier(url))
-                )
-                blob, seconds, stats = _suite_pass(scale, names, pass_jobs,
-                                                   cache)
-                blobs[name] = blob
-                passes[name] = (seconds, stats)
+        cache = RunCache(root)
+        cache.clear()
+        for name, pass_jobs, pass_cache in (("serial", 1, None),
+                                            ("parallel_cold", jobs, cache),
+                                            ("parallel_warm", jobs, cache)):
+            blob, seconds, stats = _suite_pass(scale, names, pass_jobs,
+                                               pass_cache)
+            blobs[name] = blob
+            passes[name] = (seconds, stats)
     finally:
         if own_tmp:
             shutil.rmtree(root, ignore_errors=True)
@@ -237,7 +215,6 @@ def run_suite_bench(
         results_sha256=hashlib.sha256(blobs["serial"]).hexdigest(),
         cold_speedup=speedup("parallel_cold"),
         warm_speedup=speedup("parallel_warm"),
-        two_tier_speedup=speedup("two_tier_cold"),
         # Parallel-vs-serial needs two workers on two cores to mean
         # anything; the cold gate reads this instead of failing.
         parallel_gate_meaningful=min(jobs, cpus) >= 2,

@@ -1,9 +1,9 @@
 """Deterministic fault injection and the injectable clock.
 
 A test seam, not a user-facing mode: tests hand a
-:class:`FaultInjector` to the run cache, executor or cache-tier server
-and check that every fault is recovered with byte-identical results.
-See ``docs/robustness.md`` for the site/recovery contract and
+:class:`FaultInjector` to the run cache or executor and check that
+every fault is recovered with byte-identical results.  See
+``docs/robustness.md`` for the site/recovery contract and
 ``tests/chaos/`` for the proofs.
 """
 

@@ -1,7 +1,7 @@
-"""Deterministic, seeded fault injection for the distributed pieces.
+"""Deterministic, seeded fault injection for the run cache and executor.
 
 A :class:`FaultPlan` names **injection sites** — fixed points in the
-cache, executor and serve layers where a failure can be simulated —
+cache and executor layers where a failure can be simulated —
 with a per-site firing probability and a seed.  A :class:`FaultInjector`
 evaluates the plan at runtime and keeps a trace of every fired fault
 plus the recovery action the hardened code took.
@@ -15,9 +15,8 @@ differential tests assert byte-identical results under fault load.
 
 Injection is a test seam: no command-line flag arms it.  Tests build a
 plan (``FaultPlan(...)`` or :meth:`FaultPlan.uniform`) and pass the
-injector to :class:`~repro.sim.cache.RunCache`,
-:class:`~repro.sim.jobs.Executor` or
-:class:`~repro.serve.server.ReproServer`.
+injector to :class:`~repro.sim.cache.RunCache` or
+:class:`~repro.sim.jobs.Executor`.
 
 Sites (see ``docs/robustness.md`` for the recovery contract of each):
 
@@ -29,10 +28,6 @@ Sites (see ``docs/robustness.md`` for the recovery contract of each):
                 (BrokenProcessPool analogue) — batch retried serially
 ``pool.worker`` one worker "crashes" before delivering its cell —
                 bounded retry with exponential backoff
-``serve.accept`` the server drops the connection before reading —
-                the tier client reads a miss (or a failed PUT)
-``serve.body``  the request body "stalls" — the server answers 408
-                instead of hanging
 ``clock``       the backoff clock "jumps" past its deadline — the
                 retry proceeds without the real wait
 ==============  =====================================================
@@ -56,8 +51,6 @@ SITES: tuple[str, ...] = (
     "cache.write",
     "pool.submit",
     "pool.worker",
-    "serve.accept",
-    "serve.body",
     "clock",
 )
 
@@ -100,9 +93,6 @@ class FaultPlan:
                 return p
         return 0.0
 
-    def as_dict(self) -> dict:
-        return {"seed": self.seed, "probabilities": dict(self.probabilities)}
-
 
 @dataclass
 class FaultRecord:
@@ -113,16 +103,12 @@ class FaultRecord:
     token: str
     recovered: str | None = None
 
-    def as_dict(self) -> dict:
-        return {"seq": self.seq, "site": self.site, "token": self.token,
-                "recovered": self.recovered}
-
 
 class FaultInjector:
     """Evaluates a :class:`FaultPlan` and keeps the fault trace.
 
-    One injector is shared by every instrumented layer of a run (cache,
-    executor, server), so the trace is the single source of
+    One injector is shared by every instrumented layer of a run (cache
+    and executor), so the trace is the single source of
     truth for "what failed and how it was handled".
     """
 
@@ -167,23 +153,9 @@ class FaultInjector:
             counts[record.site] = counts.get(record.site, 0) + 1
         return counts
 
-    def recovered_by_site(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for record in self.records:
-            if record.recovered is not None:
-                counts[record.site] = counts.get(record.site, 0) + 1
-        return counts
-
     def unrecovered(self) -> list[FaultRecord]:
         """Fired faults no recovery path has claimed — each one a bug."""
         return [r for r in self.records if r.recovered is None]
-
-    def trace(self) -> list[dict]:
-        """Canonical trace: records sorted by (site, token), so two
-        runs with the same seed compare equal even when concurrency
-        reordered the firing sequence."""
-        return [r.as_dict() for r in
-                sorted(self.records, key=lambda r: (r.site, r.token))]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FaultInjector(seed={self.plan.seed}, "

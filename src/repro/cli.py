@@ -8,8 +8,6 @@ Usage::
     python -m repro suite --scale quick --jobs 8
     python -m repro bench --scale quick --out BENCH_suite.json
     python -m repro bench --scale paper --out BENCH_paper.json
-    python -m repro serve --port 8377 --cache-dir /srv/repro-cache
-    python -m repro suite --cache-url http://127.0.0.1:8377
     python -m repro sweep --policies thp,ca --workloads svm,pagerank
     python -m repro cache stats
     python -m repro cache prune --max-bytes 500M
@@ -98,7 +96,7 @@ def run_suite_grid(scale, names, executor) -> tuple[bytes, float]:
     ``results_sha256`` hashes) and the seconds planning and running
     took, canonicalizing excluded.  The caller builds and owns
     ``executor``, so the bench and the fault-injection tests pick their
-    own cache, tier, retries and injector.
+    own cache, retries and injector.
     """
     from repro.experiments.serialize import to_jsonable
     from repro.sim.jobs import run_plans
@@ -117,16 +115,12 @@ def run_suite_grid(scale, names, executor) -> tuple[bytes, float]:
 
 def make_executor(args):
     """Build the Executor the ``--jobs``/cache flags describe."""
-    from repro.sim.cache import HttpCacheTier, RunCache
+    from repro.sim.cache import RunCache
     from repro.sim.jobs import Executor
 
     cache = None
     if not getattr(args, "no_cache", False):
-        tier = None
-        cache_url = getattr(args, "cache_url", None)
-        if cache_url:
-            tier = HttpCacheTier(cache_url)
-        cache = RunCache(getattr(args, "cache_dir", None), tier=tier)
+        cache = RunCache(getattr(args, "cache_dir", None))
     return Executor(jobs=getattr(args, "jobs", None) or 1, cache=cache)
 
 
@@ -166,12 +160,6 @@ def _run_experiments(names: list[str], args) -> int:
         f"{s.deduped} deduped; jobs={executor.jobs}; "
         f"{time.time() - started:.1f}s]"
     )
-    cache = executor.cache
-    if cache is not None and cache.tier is not None:
-        print(f"[cache tier: {cache.tier_hits} hit(s), "
-              f"{cache.tier_misses} miss(es), "
-              f"{cache.tier_stores} store(s), "
-              f"{cache.tier_errors} error(s)]")
     return 0
 
 
@@ -228,10 +216,6 @@ def _suite_gate(report, args) -> list[str]:
     failures = []
     if not report["results_identical"]:
         failures.append("pass results are not byte-identical")
-    computed = report["passes"]["two_tier_cold"]["stats"]["computed"]
-    if computed:
-        failures.append(f"two-tier pass recomputed {computed} cell(s) "
-                        f"the shared tier should have served")
     if args.min_warm_speedup and report["warm_speedup"] < args.min_warm_speedup:
         failures.append(f"warm speedup {report['warm_speedup']}x below gate "
                         f"{args.min_warm_speedup}x")
@@ -259,7 +243,7 @@ def _cmd_bench(args) -> int:
         print("=== bench: paper fault cell (ingens/bt, fast engine) ===")
         report = run_paper_bench(fault_steps=args.fault_steps)
     else:
-        print(f"=== bench: suite serial/cold/warm/two-tier "
+        print(f"=== bench: suite serial/cold/warm "
               f"(scale={args.scale}, jobs={args.jobs or 'auto'}) ===")
         report = run_suite_bench(
             args.scale,
@@ -275,10 +259,6 @@ def _cmd_bench(args) -> int:
         else:
             detail = (f"{s['computed']} computed, {s['cache_hits']} cached, "
                       f"{s['deduped']} deduped of {s['submitted']}")
-            tier = s.get("tier")
-            if tier:
-                detail += (f"; tier {tier['hits']}h/{tier['stores']}s/"
-                           f"{tier['errors']}e")
         print(f"{name:>13}: {row['seconds']:.2f}s — {detail}")
     if paper:
         print(f"state sha256: {report['state_sha256']}")
@@ -318,13 +298,6 @@ def parse_size(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError("size must be >= 0")
     return int(value * factor)
-
-
-def _cmd_serve(args) -> int:
-    from repro.serve.server import build_server
-
-    build_server(args).run()
-    return 0
 
 
 def _cmd_cache_stats(args) -> int:
@@ -472,13 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--no-cache", action="store_true",
             help="compute every cell, skip cache reads and writes",
         )
-        p.add_argument(
-            "--cache-url", metavar="URL", default=None,
-            help="shared read-through cache tier: a `repro serve` base "
-                 "URL (e.g. http://127.0.0.1:8377); local misses are "
-                 "fetched by digest before computing, and local stores "
-                 "are pushed back (see docs/scaling.md)",
-        )
 
     run_p = sub.add_parser("run", help="run one or more experiments")
     run_p.add_argument("experiment", nargs="+", help="experiment name(s)")
@@ -491,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="time the suite serial/cold/warm/two-tier, or the paper "
+        help="time the suite serial/cold/warm, or the paper "
              "fault cell (--scale paper)",
     )
     bench_p.add_argument(
@@ -532,21 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
              "default: all steps)",
     )
     bench_p.set_defaults(func=_cmd_bench)
-
-    serve_p = sub.add_parser(
-        "serve", help="serve a run cache as the shared tier other "
-                      "runs reach with --cache-url"
-    )
-    serve_p.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default: 127.0.0.1)")
-    serve_p.add_argument("--port", type=int, default=8377,
-                         help="bind port; 0 picks one (default: 8377)")
-    serve_p.add_argument(
-        "--cache-dir", metavar="DIR", default=None,
-        help="the run cache this tier serves (default: $REPRO_CACHE_DIR "
-             "or .repro-cache)",
-    )
-    serve_p.set_defaults(func=_cmd_serve)
 
     sweep_p = sub.add_parser(
         "sweep",
@@ -598,10 +549,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument(
         "--no-cache", action="store_true",
         help="compute every cell, skip cache reads and writes",
-    )
-    sweep_p.add_argument(
-        "--cache-url", metavar="URL", default=None,
-        help="shared read-through cache tier (a `repro serve` base URL)",
     )
     sweep_p.add_argument(
         "--json", metavar="FILE", default=None,

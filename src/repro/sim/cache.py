@@ -33,15 +33,10 @@ double as chaos injection sites (``cache.read`` corrupts the entry on
 disk before the read so the real quarantine machinery runs;
 ``cache.write`` drops the store) — see :mod:`repro.chaos`.
 
-A cache can additionally **federate** through a shared HTTP tier
-(:class:`HttpCacheTier`, served by ``repro serve`` at
-``/v1/cache/<key>``): local misses read through the tier and fill the
-local disk (L1), local stores write through, and the tier's
-single-writer promotion (``PUT`` of an existing key is a no-op)
-guarantees each spec digest is published exactly once fleet-wide.  The
-tier is strictly best-effort: any network or protocol failure counts in
-``tier_errors`` and degrades to a plain local miss/store, never an
-error in the run.
+Sharing a cache is sharing its directory: copy it (``cp -r``,
+``rsync``) or point every run's root at one shared filesystem.  Keys
+are content addresses and stores are atomic renames, so no entry is
+ever served half-written or under the wrong code.
 """
 
 from __future__ import annotations
@@ -49,13 +44,11 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
-import http.client
 import json
 import os
 import pickle
 import struct
 import tempfile
-import urllib.parse
 import zlib
 from pathlib import Path
 from typing import Any
@@ -140,86 +133,6 @@ def spec_digest(spec: Any, salt: str) -> str:
     return hashlib.sha256((salt + "\0" + canonical).encode()).hexdigest()
 
 
-class HttpCacheTier:
-    """Client for the shared blob tier exposed by ``repro serve``.
-
-    Speaks plain HTTP/1.1 over :mod:`http.client` (one connection per
-    operation — the server closes after each response anyway):
-
-    - ``GET /v1/cache/<key>`` → 200 + blob, or 404;
-    - ``PUT /v1/cache/<key>`` → 201 (stored) or 200 (already present —
-      the tier keeps the first writer's copy, so a digest is published
-      once globally).
-
-    Blobs are framed RPT1 bytes in both directions; the server rejects
-    a PUT body that does not parse as one.  ``bytes_sent``/
-    ``bytes_received`` count body bytes on the wire.
-
-    Every failure mode — connection refused, timeout, protocol garbage,
-    unexpected status — increments ``errors`` and returns ``None``; the
-    owning :class:`RunCache` then behaves as if no tier existed.
-    """
-
-    def __init__(self, base_url: str, timeout: float = 10.0):
-        parts = urllib.parse.urlsplit(base_url)
-        if parts.scheme not in ("http", ""):
-            raise ValueError(f"cache tier URL must be http://, got {base_url!r}")
-        netloc = parts.netloc or parts.path
-        if not netloc:
-            raise ValueError(f"cache tier URL needs a host, got {base_url!r}")
-        self.host = netloc.rpartition(":")[0] if ":" in netloc else netloc
-        self.port = int(netloc.rpartition(":")[2]) if ":" in netloc else 80
-        self.base_path = (parts.path if parts.netloc else "").rstrip("/")
-        self.timeout = timeout
-        self.gets = 0
-        self.puts = 0
-        self.errors = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    def _request(self, method: str, key: str, body: bytes | None = None):
-        """One request/response; returns ``(status, body)`` or ``None``."""
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
-        try:
-            conn.request(method, f"{self.base_path}/v1/cache/{key}",
-                         body=body)
-            resp = conn.getresponse()
-            return resp.status, resp.read()
-        except (OSError, http.client.HTTPException):
-            self.errors += 1
-            return None
-        finally:
-            conn.close()
-
-    def get(self, key: str) -> bytes | None:
-        """Fetch a blob from the tier; ``None`` on miss or failure."""
-        self.gets += 1
-        out = self._request("GET", key)
-        if out is None:
-            return None
-        status, data = out
-        if status != 200:
-            return None
-        self.bytes_received += len(data)
-        return data
-
-    def put(self, key: str, blob: bytes) -> str | None:
-        """Publish a blob; ``"stored"``, ``"exists"`` or ``None``."""
-        self.puts += 1
-        self.bytes_sent += len(blob)
-        out = self._request("PUT", key, body=blob)
-        if out is None:
-            return None
-        status, _ = out
-        if status == 201:
-            return "stored"
-        if status == 200:
-            return "exists"
-        self.errors += 1
-        return None
-
-
 class RunCache:
     """On-disk content-addressed store of cell results.
 
@@ -235,11 +148,6 @@ class RunCache:
         Optional :class:`~repro.chaos.FaultInjector` driving the
         ``cache.read`` / ``cache.write`` fault sites; ``None`` (the
         default) leaves the hot path untouched.
-    tier:
-        Optional shared tier (:class:`HttpCacheTier` or anything with
-        its ``get``/``put`` shape).  Local misses read through it and
-        fill the local disk; local stores write through.  Best-effort
-        only — tier failures never fail the run.
     """
 
     #: Errors that mean "the entry exists but cannot be deserialized".
@@ -254,20 +162,15 @@ class RunCache:
     )
 
     def __init__(self, root: str | Path | None = None, salt: str | None = None,
-                 injector=None, tier=None):
+                 injector=None):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = code_version_salt() if salt is None else salt
         self.injector = injector
-        self.tier = tier
         self.hits = 0
         self.misses = 0
         self.stores = 0
         self.corrupt_evictions = 0
         self.write_failures = 0
-        self.tier_hits = 0
-        self.tier_misses = 0
-        self.tier_stores = 0
-        self.tier_errors = 0
 
     def path_for(self, key: str) -> Path:
         """Where a key's entry lives (two-level fan-out like git)."""
@@ -323,7 +226,8 @@ class RunCache:
         try:
             blob = path.read_bytes()
         except FileNotFoundError:
-            return self._tier_get(key, path)
+            self.misses += 1
+            return MISS
         except OSError:
             self._quarantine(key, path)
             self.misses += 1
@@ -340,91 +244,6 @@ class RunCache:
             pass
         self.hits += 1
         return value
-
-    def _tier_get(self, key: str, path: Path) -> Any:
-        """Local miss: read through the shared tier, fill the L1.
-
-        A tier blob that will not decode counts as a ``tier_error``
-        and stays out of the local store; a clean fetch fills the local
-        disk (so the next read is local) and counts as a hit.
-        """
-        if self.tier is None:
-            self.misses += 1
-            return MISS
-        blob = self.tier.get(key)
-        if blob is None:
-            self.tier_misses += 1
-            self.misses += 1
-            return MISS
-        try:
-            value = self.decode_blob(blob)
-        except self.CORRUPTION_ERRORS:
-            self.tier_errors += 1
-            self.misses += 1
-            return MISS
-        self.tier_hits += 1
-        self.write_blob(key, blob)
-        self.hits += 1
-        return value
-
-    def read_blob(self, key: str) -> bytes | None:
-        """Raw bytes of a local entry (the serve-side GET route).
-
-        Refreshes the entry's mtime like :meth:`get` so tier reads keep
-        hot blobs out of :meth:`prune`'s way, but never deserializes —
-        the server moves blobs, only clients unpickle them.
-        """
-        path = self.path_for(key)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self._quarantine(key, path)
-            return None
-        try:
-            os.utime(path)
-        except OSError:  # pragma: no cover - entry raced away
-            pass
-        return blob
-
-    def write_blob(self, key: str, blob: bytes,
-                   overwrite: bool = True) -> str:
-        """Store raw bytes under ``key`` (atomic rename).
-
-        Returns ``"stored"``, ``"exists"`` (only with
-        ``overwrite=False`` — the serve-side single-writer promotion:
-        the first PUT of a digest wins and later ones are no-ops) or
-        ``"failed"`` (counted in ``write_failures``).
-        """
-        path = self.path_for(key)
-        if not overwrite and path.exists():
-            return "exists"
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        except OSError:
-            self.write_failures += 1
-            return "failed"
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            self.write_failures += 1
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return "failed"
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        self.stores += 1
-        return "stored"
 
     @staticmethod
     def encode_value(value: Any) -> bytes:
@@ -443,9 +262,7 @@ class RunCache:
         A failed disk write (full disk, permissions, injected
         ``cache.write`` fault) degrades to "not cached" — counted in
         ``write_failures`` — because a cache must never turn a
-        computed result into an error.  With a tier attached the blob
-        also writes through (best effort; the tier keeps the first
-        writer's copy).
+        computed result into an error.
         """
         if self.injector is not None:
             record = self.injector.fire("cache.write", key)
@@ -458,8 +275,7 @@ class RunCache:
     def put_encoded(self, key: str, blob: bytes) -> None:
         """Store an already-framed blob (the executor's pool path hands
         worker-encoded blobs straight through so results are framed
-        exactly once).  Same fault-site and write-through semantics as
-        :meth:`put`."""
+        exactly once).  Same fault-site semantics as :meth:`put`."""
         if self.injector is not None:
             record = self.injector.fire("cache.write", key)
             if record is not None:
@@ -469,12 +285,33 @@ class RunCache:
         self._put_blob(key, blob)
 
     def _put_blob(self, key: str, blob: bytes) -> None:
-        self.write_blob(key, blob)
-        if self.tier is not None:
-            if self.tier.put(key, blob) is None:
-                self.tier_errors += 1
-            else:
-                self.tier_stores += 1
+        """Store raw bytes under ``key`` (atomic rename); a failed
+        write counts in ``write_failures``."""
+        path = self.path_for(key)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        except OSError:
+            self.write_failures += 1
+            return
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(blob)
+            os.replace(tmp, path)
+        except OSError:
+            self.write_failures += 1
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            return
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        self.stores += 1
 
     def _entries(self) -> list[tuple[Path, float, int]]:
         """``(path, mtime, size_bytes)`` per entry, oldest first.
@@ -583,7 +420,7 @@ class RunCache:
         """Evict least-recently-used entries until <= ``max_bytes``.
 
         Eviction is oldest-mtime-first (reads refresh mtime, see
-        :meth:`get`), so a long-lived server keeps its hot working set
+        :meth:`get`), so a long-lived cache keeps its hot working set
         while the cold tail is reclaimed.  Returns a JSON-ready summary
         of what was removed and what remains.
 

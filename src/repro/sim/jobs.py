@@ -155,13 +155,11 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     """The pinned start method for the persistent worker pool.
 
     The stdlib default drifts by platform and version (``fork`` on
-    POSIX ≤3.13, ``spawn`` later) and ``fork`` is unsafe in a process
-    that runs threads (such as an in-process cache-tier server).
-    Pinning ``forkserver`` keeps behaviour identical everywhere that
-    has it, and preloading this module into the forkserver template
-    imports numpy and the repro package once — every worker then forks
-    from the warm template instead of paying the interpreter+numpy
-    import on each spawn.
+    POSIX ≤3.13, ``spawn`` later).  Pinning ``forkserver`` keeps
+    behaviour identical everywhere that has it, and preloading this
+    module into the forkserver template imports numpy and the repro
+    package once — every worker then forks from the warm template
+    instead of paying the interpreter+numpy import on each spawn.
     """
     if "forkserver" in multiprocessing.get_all_start_methods():
         ctx = multiprocessing.get_context("forkserver")

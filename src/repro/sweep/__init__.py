@@ -10,7 +10,7 @@ many (policy, scheme, workload) points are measured together:
   addresses the run cache already uses;
 - :mod:`repro.sweep.runner` — runs a grid's cells through one
   :class:`~repro.sim.jobs.Executor` batch (sharing the process pool
-  and any cache tier);
+  and the run cache);
 - :mod:`repro.sweep.frontier` — extracts overhead/bloat/contiguity
   metrics per grid point and computes exact Pareto frontiers plus
   contiguity-CDF and walk-cycle summaries as plain dicts.

@@ -3,7 +3,7 @@
 :func:`run_sweep` expands a :class:`~repro.sweep.grid.SweepSpec` into
 its grid points and their deduplicated cells, runs every cell through
 one :meth:`Executor.run <repro.sim.jobs.Executor.run>` call — the same
-process pool and (tiered) run cache the suite uses, so a repeated or
+process pool and run cache the suite uses, so a repeated or
 overlapping sweep recomputes nothing — and assembles the outcome.
 
 The outcome is plain dicts whose canonical JSON is byte-identical

@@ -227,13 +227,13 @@ class TestFramedBlobCorruption:
         key = c.key(cache.salt)
         # The right answer, just not framed.
         raw = pickle.dumps(42, protocol=pickle.HIGHEST_PROTOCOL)
-        cache.write_blob(key, raw)
+        cache.put_encoded(key, raw)
         assert cache.get(key) is MISS
         assert not cache.path_for(key).exists()
         assert cache.quarantine_path_for(key).exists()
         assert cache.corrupt_evictions == 1
 
-        cache.write_blob(key, raw)
+        cache.put_encoded(key, raw)
         executor = Executor(cache=cache)
         assert executor.run([c]) == [42]
         assert executor.stats.computed == 1

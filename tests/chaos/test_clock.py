@@ -1,8 +1,4 @@
-"""Clock / FakeClock tests: advancing fake time drives every waiter."""
-
-import asyncio
-
-import pytest
+"""Clock / FakeClock tests: fake time moves only when told to."""
 
 from repro.chaos import CLOCK, Clock, FakeClock
 
@@ -18,21 +14,11 @@ class TestRealClock:
         assert isinstance(CLOCK, Clock)
         assert not isinstance(CLOCK, FakeClock)
 
-    def test_wait_for_passes_result_through(self):
-        async def main():
-            async def value():
-                return 42
-
-            return await Clock().wait_for(value(), timeout=5)
-
-        assert asyncio.run(main()) == 42
-
 
 class TestFakeClock:
     def test_starts_at_start_and_advances(self):
         fake = FakeClock(start=100.0)
         assert fake.monotonic() == 100.0
-        assert fake.wall() == 100.0
         fake.advance(2.5)
         assert fake.monotonic() == 102.5
 
@@ -41,63 +27,3 @@ class TestFakeClock:
         before = fake.monotonic()
         fake.sleep_sync(3600.0)  # returns immediately
         assert fake.monotonic() == before + 3600.0
-
-    def test_sleep_wakes_on_advance(self):
-        async def main():
-            fake = FakeClock()
-            woke = []
-
-            async def sleeper():
-                await fake.sleep(5.0)
-                woke.append(fake.monotonic())
-
-            task = asyncio.create_task(sleeper())
-            await asyncio.sleep(0)
-            assert fake.pending == 1
-            fake.advance(4.0)
-            await asyncio.sleep(0)
-            assert not woke  # deadline not reached yet
-            fake.advance(2.0)
-            await asyncio.wait_for(task, timeout=5)
-            assert woke == [1006.0]
-            assert fake.pending == 0
-
-        asyncio.run(main())
-
-    def test_sleep_zero_does_not_park(self):
-        async def main():
-            fake = FakeClock()
-            await fake.sleep(0)  # must complete without advance()
-
-        asyncio.run(main())
-
-    def test_wait_for_returns_result_before_deadline(self):
-        async def main():
-            fake = FakeClock()
-
-            async def quick():
-                return "done"
-
-            result = await fake.wait_for(quick(), timeout=10.0)
-            assert result == "done"
-            assert fake.pending == 0  # timer cleaned up
-
-        asyncio.run(main())
-
-    def test_wait_for_times_out_on_advance(self):
-        async def main():
-            fake = FakeClock()
-            never = asyncio.get_running_loop().create_future()
-
-            async def waiter():
-                await fake.wait_for(never, timeout=30.0)
-
-            task = asyncio.create_task(waiter())
-            await asyncio.sleep(0)
-            assert fake.pending == 1
-            fake.advance(31.0)
-            with pytest.raises(asyncio.TimeoutError):
-                await asyncio.wait_for(task, timeout=5)
-            assert never.cancelled()  # the guarded awaitable is cancelled
-
-        asyncio.run(main())

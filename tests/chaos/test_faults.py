@@ -29,11 +29,12 @@ class TestFaultPlan:
         with pytest.raises(ConfigError, match="must be in"):
             FaultPlan((("cache.read", p),))
 
-    def test_as_dict_round_trips_the_spec(self):
+    def test_p_reads_back_the_spec(self):
         plan = FaultPlan((("cache.read", 0.1), ("clock", 1.0)), seed=11)
-        assert plan.as_dict() == {
-            "seed": 11,
-            "probabilities": {"cache.read": 0.1, "clock": 1.0},
+        assert plan.seed == 11
+        assert {site: plan.p(site) for site in SITES} == {
+            "cache.read": 0.1, "cache.write": 0.0, "pool.submit": 0.0,
+            "pool.worker": 0.0, "clock": 1.0,
         }
 
 
@@ -108,7 +109,9 @@ class TestTrace:
         assert [r.token for r in inj.unrecovered()] == ["k2#a0"]
         inj.recover(b, "retry_1")
         assert inj.unrecovered() == []
-        assert inj.recovered_by_site() == {"cache.read": 1, "pool.worker": 1}
+        assert {r.site: r.recovered for r in inj.records} == {
+            "cache.read": "quarantined", "pool.worker": "retry_1",
+        }
 
     def test_fired_by_site_counts(self):
         inj = FaultInjector(FaultPlan.uniform(1.0))
@@ -122,9 +125,12 @@ class TestTrace:
         inj.fire("pool.worker", "z")
         inj.fire("cache.read", "b")
         inj.fire("cache.read", "a")
-        trace = inj.trace()
-        assert [(r["site"], r["token"]) for r in trace] == [
-            ("cache.read", "a"), ("cache.read", "b"), ("pool.worker", "z"),
+        assert sorted((r.site, r.token, r.recovered)
+                      for r in inj.records) == [
+            ("cache.read", "a", None), ("cache.read", "b", None),
+            ("pool.worker", "z", None),
         ]
-        # seq still records actual firing order.
-        assert sorted(r["seq"] for r in trace) == [0, 1, 2]
+        # seq records actual firing order.
+        assert [(r.seq, r.token) for r in inj.records] == [
+            (0, "z"), (1, "b"), (2, "a"),
+        ]

@@ -1,9 +1,9 @@
 """The RPT1 transport's contract: canonical frames, exact round-trips,
 delta refs, and every-byte corruption coverage.
 
-The run cache, the chain checkpoints, the executor's pool path and the
-serve tier all ride this format, so these tests pin the properties
-those layers assume:
+The run cache, the chain checkpoints and the executor's pool path all
+ride this format, so these tests pin the properties those layers
+assume:
 
 - *round-trip* — ``loads(dumps(x)) == x`` over arbitrary dtypes,
   shapes (empty and 1-element columns included), and mixed payloads,

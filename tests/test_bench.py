@@ -16,7 +16,7 @@ from repro.units import MIB
 SMALL_PAPER = ScaleProfile(name="bench-test", bytes_per_paper_gb=MIB,
                            machine_paper_gb=(48, 48))
 
-PASSES = ("serial", "parallel_cold", "parallel_warm", "two_tier_cold")
+PASSES = ("serial", "parallel_cold", "parallel_warm")
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +43,10 @@ class TestSuiteForm:
         assert suite_report["experiments"] == ["fig9"]
         assert suite_report["results_identical"] is True
         assert len(suite_report["results_sha256"]) == 64
-        for key in ("cold_speedup", "warm_speedup", "two_tier_speedup"):
+        for key in ("cold_speedup", "warm_speedup"):
             assert suite_report[key] > 0
 
-    def test_two_tier_pass_computes_nothing(self, suite_report):
-        stats = suite_report["passes"]["two_tier_cold"]["stats"]
-        assert stats["computed"] == 0
-        assert stats["tier"]["hits"] > 0
+    def test_warm_pass_computes_nothing(self, suite_report):
         assert suite_report["passes"]["parallel_warm"]["stats"]["computed"] == 0
 
     def test_cold_gate_applies_with_two_jobs_on_two_cpus(self, suite_report):

@@ -1,4 +1,4 @@
-"""CLI surface: serve/cache commands, size parsing, retired commands."""
+"""CLI surface: cache commands, size parsing, retired commands."""
 
 import argparse
 
@@ -54,19 +54,6 @@ class TestCacheCommands:
 
 
 class TestParserWiring:
-    def test_serve_defaults(self):
-        args = build_parser().parse_args(["serve"])
-        assert (args.host, args.port) == ("127.0.0.1", 8377)
-        assert args.cache_dir is None
-
-    def test_cache_stats_has_no_tier_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args([
-                "cache", "stats", "--cache-url", "http://127.0.0.1:1",
-            ])
-        assert exc.value.code == 2
-        assert "--cache-url" in capsys.readouterr().err
-
     @pytest.mark.parametrize("argv", [
         ["submit", "fig11"],
         ["bench-serve"],
@@ -90,6 +77,10 @@ class TestParserWiring:
         ["suite", "--chaos-seed", "1"],
         ["serve", "--chaos-plan", "0.1"],
         ["sweep", "--chaos-plan", "0.1"],
+        ["serve"],
+        ["run", "fig9", "--cache-url", "http://127.0.0.1:8377"],
+        ["suite", "--cache-url", "http://127.0.0.1:8377"],
+        ["sweep", "--cache-url", "http://127.0.0.1:8377"],
     ])
     def test_retired_job_api_surface_is_gone(self, argv):
         with pytest.raises(SystemExit) as exc:
