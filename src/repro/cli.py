@@ -95,8 +95,8 @@ def run_suite_grid(scale, names, executor) -> tuple[bytes, float]:
     Returns the canonical JSON bytes of their results (what
     ``results_sha256`` hashes) and the seconds planning and running
     took, canonicalizing excluded.  The caller builds and owns
-    ``executor``, so the bench and the fault-injection tests pick their
-    own cache, retries and injector.
+    ``executor``, so the bench and the recovery tests pick their own
+    jobs and cache.
     """
     from repro.experiments.serialize import to_jsonable
     from repro.sim.jobs import run_plans
@@ -216,6 +216,13 @@ def _suite_gate(report, args) -> list[str]:
     failures = []
     if not report["results_identical"]:
         failures.append("pass results are not byte-identical")
+    broken = [name for name, row in report["passes"].items()
+              if row["stats"]["pool_failures"]]
+    if broken:
+        # Such a pass finished on the serial fallback: it timed the
+        # wrong program.
+        failures.append(f"worker pool broke in {', '.join(broken)}; "
+                        f"serial fallback timed instead")
     if args.min_warm_speedup and report["warm_speedup"] < args.min_warm_speedup:
         failures.append(f"warm speedup {report['warm_speedup']}x below gate "
                         f"{args.min_warm_speedup}x")

@@ -186,7 +186,7 @@ class CoalescedTlb:
 
         # Group the stream by window; segment boundaries where the run
         # changes within a group.
-        order = _stable_order(windows)
+        order = vt.stable_order(windows)
         w_sorted = windows[order]
         id_sorted = runs.ids[order]
         hit_sorted = key_hit[order]
@@ -273,24 +273,6 @@ class CoalescedTlb:
         self.stats.missed += missed
         self.stats.pages_covered_sum += pages_sum
         return (covered, missed)
-
-
-def _stable_order(keys: np.ndarray) -> np.ndarray:
-    """``np.argsort(keys, kind="stable")`` for int64 keys.
-
-    Packing each position into the low bits of its key makes a plain
-    sort stable and keeps numpy on its fast unstable path; keys too
-    wide to pack (or negative) take the stable argsort.
-    """
-    n = keys.size
-    shift = n.bit_length()
-    if n and int(keys.min()) >= 0 and int(keys.max()) < 1 << (62 - shift):
-        packed = keys << shift
-        packed |= np.arange(n, dtype=np.int64)
-        packed.sort()
-        packed &= np.int64((1 << shift) - 1)
-        return packed
-    return np.argsort(keys, kind="stable")
 
 
 def ctlb_entries_for_coverage(

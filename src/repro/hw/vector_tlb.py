@@ -104,16 +104,39 @@ def set_indices(hashes: np.ndarray, n_sets: int) -> np.ndarray:
     )
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys.
+
+    Packing each position into the low bits of its key makes a plain
+    sort stable and keeps numpy on its fast unstable path.  Packs that
+    fit 31 bits (set indices) sort as int32, halving the temporaries;
+    keys too wide to pack (or negative) take the stable argsort.
+    """
+    n = keys.size
+    shift = n.bit_length()
+    if n and int(keys.min()) >= 0:
+        bits = int(keys.max()).bit_length() + shift
+        if bits <= 62:
+            dtype = np.int32 if bits <= 31 else np.int64
+            packed = keys.astype(dtype)
+            packed <<= shift
+            packed |= np.arange(n, dtype=dtype)
+            packed.sort()
+            packed &= dtype((1 << shift) - 1)
+            return packed
+    return np.argsort(keys, kind="stable")
+
+
 def _set_grouped_order(sets: np.ndarray, n_sets: int) -> np.ndarray:
     """Stable permutation grouping accesses by set (time order within)."""
     if n_sets == 1:
         return np.arange(sets.size, dtype=np.int64)
-    if n_sets <= 16:
-        # A handful of linear passes beats a comparison sort.
+    if n_sets <= 4:
+        # A handful of linear passes beats the packed sort.
         return np.concatenate(
             [np.flatnonzero(sets == s) for s in range(n_sets)]
         )
-    return np.argsort(sets, kind="stable")
+    return stable_order(sets)
 
 
 def _ambiguous_hits(

@@ -28,10 +28,7 @@ Corrupted, truncated or otherwise unreadable entries are treated as
 misses, **quarantined** (moved to ``<root>/quarantine/<key>.bad`` so
 they can never be served again but stay inspectable) and counted in
 ``corrupt_evictions``; failed writes degrade to "not cached" and are
-counted in ``write_failures`` instead of failing the run.  Both paths
-double as chaos injection sites (``cache.read`` corrupts the entry on
-disk before the read so the real quarantine machinery runs;
-``cache.write`` drops the store) — see :mod:`repro.chaos`.
+counted in ``write_failures`` instead of failing the run.
 
 Sharing a cache is sharing its directory: copy it (``cp -r``,
 ``rsync``) or point every run's root at one shared filesystem.  Keys
@@ -144,10 +141,6 @@ class RunCache:
         Code-version salt mixed into every key; defaults to
         :func:`code_version_salt`.  Tests inject fixed salts to model
         code edits without editing code.
-    injector:
-        Optional :class:`~repro.chaos.FaultInjector` driving the
-        ``cache.read`` / ``cache.write`` fault sites; ``None`` (the
-        default) leaves the hot path untouched.
     """
 
     #: Errors that mean "the entry exists but cannot be deserialized".
@@ -161,11 +154,9 @@ class RunCache:
         UnicodeDecodeError, zlib.error, struct.error,
     )
 
-    def __init__(self, root: str | Path | None = None, salt: str | None = None,
-                 injector=None):
+    def __init__(self, root: str | Path | None = None, salt: str | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = code_version_salt() if salt is None else salt
-        self.injector = injector
         self.hits = 0
         self.misses = 0
         self.stores = 0
@@ -204,28 +195,11 @@ class RunCache:
         raise out of the cache layer or be served twice.
         """
         path = self.path_for(key)
-        if self.injector is not None:
-            record = self.injector.fire("cache.read", key)
-            if record is not None:
-                if path.exists():
-                    # Garble the real entry so the genuine corruption
-                    # handling below (quarantine + miss) is exercised:
-                    # one byte flipped deep in the blob, which the
-                    # transport's CRC/digest coverage must catch.
-                    try:
-                        data = path.read_bytes()
-                        if data:
-                            path.write_bytes(
-                                data[:-1] + bytes((data[-1] ^ 0xFF,))
-                            )
-                    except OSError:
-                        pass
-                    self.injector.recover(record, "quarantined")
-                else:
-                    self.injector.recover(record, "already_miss")
         try:
             blob = path.read_bytes()
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # Absent, or a path component is a file (an unwritable
+            # root): no entry can be there, so nothing to quarantine.
             self.misses += 1
             return MISS
         except OSError:
@@ -233,7 +207,7 @@ class RunCache:
             self.misses += 1
             return MISS
         try:
-            value = self.decode_blob(blob)
+            value = transport.loads(blob)
         except self.CORRUPTION_ERRORS:
             self._quarantine(key, path)
             self.misses += 1
@@ -245,48 +219,20 @@ class RunCache:
         self.hits += 1
         return value
 
-    @staticmethod
-    def encode_value(value: Any) -> bytes:
-        """A value's on-disk form: a framed RPT1 blob."""
-        return transport.dumps(value)
-
-    @staticmethod
-    def decode_blob(blob: bytes) -> Any:
-        """Decode a framed RPT1 entry (CRC + digest verified).  Anything
-        else raises :class:`~repro.sim.transport.TransportError`."""
-        return transport.loads(blob)
-
     def put(self, key: str, value: Any) -> None:
-        """Store a result under ``key`` (atomic; last writer wins).
-
-        A failed disk write (full disk, permissions, injected
-        ``cache.write`` fault) degrades to "not cached" — counted in
-        ``write_failures`` — because a cache must never turn a
-        computed result into an error.
-        """
-        if self.injector is not None:
-            record = self.injector.fire("cache.write", key)
-            if record is not None:
-                self.write_failures += 1
-                self.injector.recover(record, "dropped_write")
-                return
-        self._put_blob(key, self.encode_value(value))
+        """Store a result under ``key`` as a framed RPT1 blob."""
+        self.put_encoded(key, transport.dumps(value))
 
     def put_encoded(self, key: str, blob: bytes) -> None:
-        """Store an already-framed blob (the executor's pool path hands
-        worker-encoded blobs straight through so results are framed
-        exactly once).  Same fault-site semantics as :meth:`put`."""
-        if self.injector is not None:
-            record = self.injector.fire("cache.write", key)
-            if record is not None:
-                self.write_failures += 1
-                self.injector.recover(record, "dropped_write")
-                return
-        self._put_blob(key, blob)
+        """Store already-framed bytes under ``key`` (atomic rename; last
+        writer wins).  The executor's pool path hands worker-encoded
+        blobs straight through, so results are framed exactly once.
 
-    def _put_blob(self, key: str, blob: bytes) -> None:
-        """Store raw bytes under ``key`` (atomic rename); a failed
-        write counts in ``write_failures``."""
+        A failed disk write (full disk, permissions, a file where the
+        root should be) degrades to "not cached" — counted in
+        ``write_failures`` — because a cache must never turn a computed
+        result into an error.
+        """
         path = self.path_for(key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -29,17 +29,16 @@ dependency-aware: a topological ready-queue dispatches
 critical-path-first (longest remaining chain wins), chain stages go
 out solo so their successors unblock as early as possible, and
 independent leaf cells are batched per submission to amortize
-pickle/spawn overhead.  Worker crashes — real ``BrokenProcessPool``
-breakage or faults injected through :mod:`repro.chaos` — are absorbed
-by bounded retry-with-backoff; because cells are pure, the retried
-results are byte-identical to an undisturbed run.
+pickle/spawn overhead.  A worker dying hard breaks the pool
+(``BrokenProcessPool``); the cells it never delivered are then
+recomputed serially in-process, and because cells are pure the results
+are byte-identical to an undisturbed run.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import heapq
 import importlib
 import multiprocessing
@@ -48,7 +47,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.chaos.clock import CLOCK
 from repro.errors import ConfigError
 from repro.sim import transport
 from repro.sim.cache import MISS, RunCache, spec_digest
@@ -56,10 +54,6 @@ from repro.sim.cache import MISS, RunCache, spec_digest
 #: Most leaf cells one pool submission carries (amortizes pickle/spawn
 #: without starving other workers).
 MAX_BATCH = 8
-
-
-class WorkerCrashLoop(RuntimeError):
-    """A cell's worker kept crashing past the retry budget."""
 
 
 @dataclass(frozen=True)
@@ -192,9 +186,7 @@ class ExecutorStats:
     crashed hard — OOM killer, segfault, ``os._exit``); the cells the
     pool never delivered are recomputed serially in-process and counted
     in ``retried_serial``, so one crashed worker degrades throughput
-    instead of failing the batch.  ``worker_crashes`` counts individual
-    lost-cell crashes (real or injected) and ``cell_retries`` the
-    backed-off retries that answered them.
+    instead of failing the batch.
     """
 
     submitted: int = 0
@@ -203,8 +195,6 @@ class ExecutorStats:
     deduped: int = 0
     pool_failures: int = 0
     retried_serial: int = 0
-    worker_crashes: int = 0
-    cell_retries: int = 0
 
 
 class Executor:
@@ -219,22 +209,6 @@ class Executor:
         A :class:`RunCache` consulted per cell; ``None`` disables
         memoization (the default, so library callers and tests are
         unaffected unless they opt in).
-    injector:
-        Optional :class:`~repro.chaos.FaultInjector` driving the
-        ``pool.submit`` / ``pool.worker`` / ``clock`` fault sites.
-        Decisions are keyed by cell content address, so the same seed
-        crashes the same cells whatever the fan-out width or harvest
-        order.
-    clock:
-        Time source for retry backoff (:data:`repro.chaos.CLOCK` by
-        default; tests inject a fake).
-    max_attempts:
-        Retry budget per cell for worker crashes (first try included).
-    backoff_base:
-        First retry delay in seconds; doubles per further attempt.
-    batch:
-        Leaf cells per pool submission (``None`` sizes automatically
-        from the ready-queue depth, capped at :data:`MAX_BATCH`).
 
     The worker pool is created lazily and **persists across**
     :meth:`run` calls, so repeated batches reuse warm workers; call
@@ -242,16 +216,9 @@ class Executor:
     it down.
     """
 
-    def __init__(self, jobs: int = 1, cache: RunCache | None = None,
-                 injector=None, clock=None, max_attempts: int = 4,
-                 backoff_base: float = 0.05, batch: int | None = None):
+    def __init__(self, jobs: int = 1, cache: RunCache | None = None):
         self.jobs = max(1, int(jobs))
         self.cache = cache
-        self.injector = injector
-        self.clock = clock if clock is not None else CLOCK
-        self.max_attempts = max(1, int(max_attempts))
-        self.backoff_base = backoff_base
-        self.batch = batch
         self.stats = ExecutorStats()
         self._salt = cache.salt if cache is not None else ""
         self._pool: ProcessPoolExecutor | None = None
@@ -406,57 +373,10 @@ class Executor:
             if k in results:
                 continue
             c = univ[k]
-            deps = self._dep_values(c, results, key_of)
-            value = self._attempt_cell(k, c, dep_values=deps)
+            value = execute_cell(c, self._dep_values(c, results, key_of))
             self._store(k, value, results)
             if count_retries:
                 self.stats.retried_serial += 1
-
-    # -- crash recovery -----------------------------------------------
-
-    def _backoff(self, attempt: int, token: str) -> None:
-        """Exponential backoff before a retry (``clock`` fault site).
-
-        An injected clock fault models the monotonic clock jumping past
-        the backoff deadline (suspend/resume, NTP step): the retry must
-        proceed correctly without the real wait.
-        """
-        delay = self.backoff_base * (2 ** (attempt - 1))
-        if self.injector is not None:
-            record = self.injector.fire("clock", token)
-            if record is not None:
-                self.injector.recover(record, "jump_absorbed")
-                return
-        self.clock.sleep_sync(delay)
-
-    def _attempt_cell(self, key: str, c: Cell, value: Any = MISS,
-                      dep_values: Sequence[Any] = ()) -> Any:
-        """Obtain one cell's result, surviving (injected) worker crashes.
-
-        ``value`` carries an already-computed result from the pool path;
-        :data:`MISS` means "compute here".  Each attempt may be lost to
-        a ``pool.worker`` fault — the attempt's result is discarded as
-        if the worker died before delivering — and is retried after
-        backoff, up to ``max_attempts``.  Cells are pure functions of
-        their spec, so a retried attempt reproduces the identical
-        result.
-        """
-        for attempt in range(self.max_attempts):
-            record = (self.injector.fire("pool.worker", f"{key}#a{attempt}")
-                      if self.injector is not None else None)
-            if record is None:
-                return execute_cell(c, dep_values) if value is MISS else value
-            value = MISS  # the crashed worker's result is lost
-            self.stats.worker_crashes += 1
-            if attempt + 1 >= self.max_attempts:
-                raise WorkerCrashLoop(
-                    f"cell {c.label()} lost {self.max_attempts} worker "
-                    f"attempt(s); giving up"
-                )
-            self.stats.cell_retries += 1
-            self.injector.recover(record, f"retry_{attempt + 1}")
-            self._backoff(attempt + 1, f"{key}#b{attempt}")
-        raise AssertionError("unreachable")  # pragma: no cover
 
     # -- the pool path ------------------------------------------------
 
@@ -471,9 +391,7 @@ class Executor:
         neg_depth, _, first = heapq.heappop(ready)
         if -neg_depth > 1:
             return [first]
-        limit = self.batch or max(
-            1, min(MAX_BATCH, (len(ready) + 1) // (self.jobs * 2))
-        )
+        limit = max(1, min(MAX_BATCH, (len(ready) + 1) // (self.jobs * 2)))
         batch = [first]
         while ready and len(batch) < limit and ready[0][0] == -1:
             batch.append(heapq.heappop(ready)[2])
@@ -490,24 +408,10 @@ class Executor:
         that free up steal whatever is highest-priority next, so short
         cells fill the gaps while chains pipeline.  A worker dying hard
         (OOM kill, segfault) raises ``BrokenProcessPool`` for every
-        undelivered future; unfinished cells are then retried serially
-        in-process so the batch still completes.  An injected
-        ``pool.submit`` fault breaks the whole dispatch the same way;
-        injected ``pool.worker`` faults lose single cells at harvest
-        time and go through the bounded backoff retry.  Cell exceptions
-        (the function itself raising) propagate unchanged.
+        undelivered future; unfinished cells are then recomputed
+        serially in-process so the batch still completes.  Cell
+        exceptions (the function itself raising) propagate unchanged.
         """
-        if self.injector is not None:
-            batch_token = hashlib.sha256(
-                "|".join(topo).encode()
-            ).hexdigest()[:16]
-            record = self.injector.fire("pool.submit", batch_token)
-            if record is not None:
-                self.stats.pool_failures += 1
-                self._run_serial(topo, univ, results, key_of,
-                                 count_retries=True)
-                self.injector.recover(record, "serial_retry")
-                return
         seq = {k: i for i, k in enumerate(topo)}
         ready: list[tuple[int, int, str]] = []
         for k in topo:
@@ -529,21 +433,8 @@ class Executor:
                 for fut in done:
                     batch_keys = inflight.pop(fut)
                     for k, blob in zip(batch_keys, fut.result()):
-                        c = univ[k]
-                        value = transport.loads(blob)
-                        crashes = self.stats.worker_crashes
-                        value = self._attempt_cell(
-                            k, c, value,
-                            dep_values=self._dep_values(c, results, key_of),
-                        )
-                        # Reuse the worker's bytes only if the result
-                        # survived harvest untouched (no injected crash
-                        # forced a local recompute).
-                        encoded = (
-                            blob if self.stats.worker_crashes == crashes
-                            else None
-                        )
-                        self._store(k, value, results, encoded=encoded)
+                        self._store(k, transport.loads(blob), results,
+                                    encoded=blob)
                         for m in dependents[k]:
                             waiting[m] -= 1
                             if waiting[m] == 0:

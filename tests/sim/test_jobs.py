@@ -26,14 +26,22 @@ def _concat(*, items, sep):
     return sep.join(items)
 
 
-def _die_in_worker(*, x):
-    """Kills worker processes hard; returns normally in the main one."""
+def _die_in_worker(prev=0, *, x):
+    """Kills worker processes hard; returns normally in the main one
+    (adding a chain predecessor's value when it has one)."""
     import multiprocessing
     import os
 
     if multiprocessing.parent_process() is not None:
         os._exit(13)  # simulate an OOM-killed / segfaulted worker
-    return x + 100
+    return prev + x + 100
+
+
+def _in_worker(*, x):
+    """Whether this cell ran in a pool worker rather than in-process."""
+    import multiprocessing
+
+    return multiprocessing.parent_process() is not None
 
 
 def _stage(prev=None, *, inc):
@@ -48,6 +56,7 @@ def _join(*parts, sep):
 SQ = "tests.sim.test_jobs:_square"
 CAT = "tests.sim.test_jobs:_concat"
 DIE = "tests.sim.test_jobs:_die_in_worker"
+IN_WORKER = "tests.sim.test_jobs:_in_worker"
 STAGE = "tests.sim.test_jobs:_stage"
 JOIN = "tests.sim.test_jobs:_join"
 
@@ -297,6 +306,42 @@ class TestBrokenPoolFallback:
         warm = Executor(cache=RunCache(tmp_path))
         assert warm.run(cells) == [101, 102, 103]
         assert warm.stats.cache_hits == 3
+
+    def test_chain_broken_mid_way_finishes_serially_in_order(self, tmp_path):
+        # The pool delivers stage 1, then stage 2's worker dies: the
+        # serial fallback must finish stages 2 and 3 in dependency order.
+        s1 = cell(STAGE, inc=1)
+        s2 = cell(DIE, deps=(s1,), x=2)
+        s3 = cell(STAGE, deps=(s2,), inc=3)
+        expected = Executor().run([s1, s2, s3])
+        assert expected == [1, 103, 106]
+
+        with Executor(jobs=2, cache=RunCache(tmp_path)) as ex:
+            assert ex.run([s1, s2, s3]) == expected
+        assert ex.stats.pool_failures == 1
+        assert ex.stats.computed == 3
+        assert ex.stats.retried_serial == 2  # stages 2 and 3 never came back
+        warm = Executor(cache=RunCache(tmp_path))
+        assert warm.run([s3]) == [106]
+        assert warm.stats.cache_hits == 1
+
+    def test_broken_pool_degrades_one_run_then_is_rebuilt(self):
+        # The pool breaks before delivering anything: that run finishes
+        # serially, and the next run on the same executor gets a fresh
+        # pool instead of staying serial.
+        with Executor(jobs=2) as ex:
+            assert ex.run([cell(DIE, x=x) for x in range(5)]) == [
+                100 + x for x in range(5)
+            ]
+            assert ex.stats.pool_failures == 1
+            assert ex.stats.retried_serial == 5
+            assert ex.stats.computed == 5
+            assert ex.run([cell(IN_WORKER, x=x) for x in range(4)]) == [
+                True
+            ] * 4
+        assert ex.stats.pool_failures == 1
+        assert ex.stats.retried_serial == 5
+        assert ex.stats.computed == 9
 
     def test_cell_exceptions_still_propagate(self):
         with pytest.raises(ConfigError):

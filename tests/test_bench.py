@@ -72,6 +72,35 @@ class TestSuiteForm:
         assert "skipping --min-cold-speedup" in capsys.readouterr().out
 
 
+def synthetic_report(pool_failures=(0, 0, 0)):
+    """A suite report that passes every gate but the one under test."""
+    return {
+        "results_identical": True,
+        "warm_speedup": 50.0,
+        "cold_speedup": 2.0,
+        "parallel_gate_meaningful": True,
+        "env": {"jobs": 2, "cpus": 2},
+        "passes": {
+            name: {"seconds": 1.0, "stats": {"pool_failures": n}}
+            for name, n in zip(PASSES, pool_failures)
+        },
+    }
+
+
+class TestSuiteGate:
+    ARGS = argparse.Namespace(min_warm_speedup=5, min_cold_speedup=1.5)
+
+    def test_clean_report_passes(self):
+        assert _suite_gate(synthetic_report(), self.ARGS) == []
+
+    def test_broken_pool_fails_the_bench(self):
+        # A pass that lost its pool finished on the serial fallback; its
+        # timing is not the parallel program's, whatever the cpu count.
+        failures = _suite_gate(synthetic_report((0, 1, 0)), self.ARGS)
+        assert len(failures) == 1
+        assert "parallel_cold" in failures[0]
+
+
 class TestPaperForm:
     def test_digest_repeats_and_in_budget(self):
         runs = [bench.run_paper_bench(SMALL_PAPER, fault_steps=20)
