@@ -10,14 +10,15 @@ One command with two forms, both writing one report schema:
   against.
 - **paper** (``--scale paper``, :func:`run_paper_bench`): one fault
   cell at face-value footprints — Ingens on ``bt``, the anonymous
-  allocation phase through ``Kernel.touch_range`` on the production
-  ``fast`` engine — gated by a wall-clock budget.
+  allocation phase through ``Kernel.touch_range``'s batched span fault
+  path — gated by a wall-clock budget.
 
 Every report carries ``bench``, ``scale``, ``wall_seconds``, an
 ``env`` block, ``passes`` (name -> ``{seconds, stats}``), an identity
-digest and the inputs of its gates.  That the engines agree with their
-scalar references is tier-1's job (the engine differential tests and
-the scheme-conformance battery), not the bench's.
+digest and the inputs of its gates.  That the batched paths agree with
+their per-page and per-access references is tier-1's job (the
+differential tests over ``tests/reference.py`` and the
+scheme-conformance battery), not the bench's.
 """
 
 from __future__ import annotations

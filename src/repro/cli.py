@@ -247,7 +247,7 @@ def _cmd_bench(args) -> int:
         return 2
     paper = args.scale == "paper"
     if paper:
-        print("=== bench: paper fault cell (ingens/bt, fast engine) ===")
+        print("=== bench: paper fault cell (ingens/bt) ===")
         report = run_paper_bench(fault_steps=args.fault_steps)
     else:
         print(f"=== bench: suite serial/cold/warm "

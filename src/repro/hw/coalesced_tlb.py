@@ -110,7 +110,7 @@ class CoalescedTlb:
         self.stats.pages_covered_sum += cend - cstart
         return False
 
-    # -- batched miss path (the vector engine) -------------------------------
+    # -- batched miss path (what MmuSimulator replays) -----------------------
 
     def on_miss_batch(
         self,

@@ -83,7 +83,7 @@ class RangeTlb:
         self.stats.uncovered += 1
         return UNCOVERED
 
-    # -- batched miss path (the vector engine) -------------------------------
+    # -- batched miss path (what MmuSimulator replays) -----------------------
 
     def on_miss_batch(
         self,

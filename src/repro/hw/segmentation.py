@@ -91,7 +91,7 @@ class SegmentationUnit:
         self.stats.outside += 1
         return OUTSIDE
 
-    # -- batched miss path (the vector engine) -------------------------------
+    # -- batched miss path (what MmuSimulator replays) -----------------------
 
     def on_miss_batch(
         self,

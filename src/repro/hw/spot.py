@@ -155,7 +155,7 @@ class SpotPredictor:
         """Entries currently resident."""
         return sum(len(s) for s in self._sets)
 
-    # -- batched walk path (the vector engine) -------------------------------
+    # -- batched walk path (what MmuSimulator replays) -----------------------
 
     def on_walks_batch(
         self,

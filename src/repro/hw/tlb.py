@@ -108,7 +108,7 @@ class TlbHierarchy:
         self.l1_2m.flush()
         self.l2.flush()
 
-    # -- batched access (the vector engine) ----------------------------------
+    # -- batched access (what MmuSimulator replays) --------------------------
 
     def simulate(self, base_vpn: np.ndarray, huge: np.ndarray) -> np.ndarray:
         """Replay a whole access stream at once, exactly.

@@ -90,7 +90,7 @@ class UtopiaMapper:
             self.stats.promoted_pages += run_len
         return FLEX_WALK
 
-    # -- batched miss path (the vector engine) -------------------------------
+    # -- batched miss path (what MmuSimulator replays) -----------------------
 
     def on_miss_batch(
         self,

@@ -1,6 +1,6 @@
 """Exact vectorized set-associative LRU simulation.
 
-The MMU simulator's vector engine rests on one structural fact: a TLB
+The MMU simulator's TLB replay rests on one structural fact: a TLB
 access moves its key to the MRU position *whether it hits or misses*
 (a hit refreshes, a miss fills), so set membership over time is a pure
 function of the access stream — never of the hit/miss outcomes.  The

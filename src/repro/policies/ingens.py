@@ -60,7 +60,8 @@ class IngensPaging(PlacementPolicy):
 
         ``np.unique`` on the ascending VPN batch yields regions in
         first-fault order, so ``_util``'s dict insertion order — which
-        the promotion pass observes — matches the scalar path exactly.
+        the promotion pass observes — matches per-fault :meth:`allocate`
+        calls exactly.
         """
         pfns = self._bulk_alloc_accounted(len(vpns), ctx.preferred_node)
         got = len(pfns)
@@ -97,26 +98,16 @@ class IngensPaging(PlacementPolicy):
             walk = process.space.page_table.walk(region)
             if walk.hit and walk.pte.huge:
                 return True  # already huge
-            if kernel.engine == "fast":
-                # The runs mirror the page table exactly, so counting
-                # covered pages replaces 512 per-page walks.
-                n_resident = process.space.runs.covered_pages(
-                    region, region + HUGE_PAGES
-                )
-            else:
-                n_resident = len(self._resident_pages(process.space, region))
+            # The runs mirror the page table exactly, so counting
+            # covered pages replaces 512 per-page walks.
+            n_resident = process.space.runs.covered_pages(
+                region, region + HUGE_PAGES
+            )
             if n_resident >= int(self.util_threshold * HUGE_PAGES):
                 self._promote_region(kernel, process, vma, region, n_resident)
                 return True
             return False
         return True  # owner exited: drop
-
-    def _resident_pages(self, space, region: int) -> list[int]:
-        return [
-            vpn
-            for vpn in range(region, region + HUGE_PAGES)
-            if space.is_mapped(vpn)
-        ]
 
     def _promote_region(self, kernel, process, vma, region: int, n_resident: int) -> None:
         assert self.mem is not None

@@ -10,6 +10,7 @@ tests use the small profile so the suite stays fast.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
@@ -61,8 +62,8 @@ DEFAULT_SCALE = ScaleProfile(name="default", bytes_per_paper_gb=16 * MIB)
 BIG_SCALE = ScaleProfile(name="big", bytes_per_paper_gb=32 * MIB)
 #: Full paper scale: 1 paper GiB = 1 simulated GiB, so the 256 GiB
 #: machine and the 29–167 GB footprints are exercised at face value.
-#: Only the ``fast`` engine's batched span fault path finishes fault
-#: phases at this tier in reasonable time (see docs/scaling.md).
+#: The kernel's batched span fault path is what lets fault phases
+#: finish at this tier in reasonable time (see docs/scaling.md).
 PAPER_SCALE = ScaleProfile(name="paper", bytes_per_paper_gb=GIB)
 
 
@@ -87,19 +88,23 @@ class SystemConfig:
     #: Contiguous-mapping threshold (pages) for the SpOT PTE bit (§IV-C).
     contig_threshold: int = 32
     seed: int = 42
-    #: Kernel simulation engine: ``"fast"`` (batched span faulting and
-    #: batched hot paths) or ``"scalar"`` (reference page-at-a-time
-    #: paths).  Identical observable behaviour, which the tier-1
-    #: engine differential tests check.
-    engine: str = "fast"
 
     def __post_init__(self) -> None:
         if not self.node_pages:
             raise ConfigError("node_pages must name at least one node")
         if self.max_order < 1:
             raise ConfigError(f"max_order must be >= 1, got {self.max_order}")
-        if self.engine not in ("fast", "scalar"):
-            raise ConfigError(f"unknown kernel engine {self.engine!r}")
+
+    # Checkpoint digests cover the pickled layout, which still carries the
+    # retired kernel-engine field (ROADMAP: "Checkpoints that hold only
+    # semantic state").  Keys are interned as pickle's default restore does,
+    # so a resumed config re-pickles byte-identically.
+    def __getstate__(self) -> dict:
+        return {**self.__dict__, "engine": "fast"}
+
+    def __setstate__(self, state: dict) -> None:
+        state.pop("engine", None)
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
 
     @classmethod
     def from_scale(cls, scale: ScaleProfile, **overrides) -> "SystemConfig":
@@ -150,10 +155,6 @@ class HardwareConfig:
     l1_2m_ways: int = 4
     l2_entries: int = 96
     l2_ways: int = 6
-    #: Cycles per page-table memory reference during a walk.
-    walk_ref_cycles: int = 10
-    #: Fraction of walk references absorbed by MMU caches (PWC).
-    pwc_hit_rate: float = 0.5
     #: SpOT prediction table geometry (Table II: 32 entries, 4-way).
     spot_entries: int = 32
     spot_ways: int = 4
@@ -161,8 +162,6 @@ class HardwareConfig:
     spot_confidence: bool = True
     #: vRMM range TLB (Table II: 32 entries, fully associative).
     range_tlb_entries: int = 32
-    #: Pipeline-flush penalty on a SpOT misprediction (cycles, §V).
-    mispredict_penalty: int = 20
     #: Coalesced TLB (Ban & Cheng): geometry + aligned span window one
     #: coalesced entry can cover (power of two, pages).
     ctlb_entries: int = 64

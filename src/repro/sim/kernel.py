@@ -15,12 +15,13 @@ handling sequence:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
-from repro.errors import AddressSpaceError, ConfigError, MappingError, OutOfMemoryError
+from repro.errors import AddressSpaceError, MappingError, OutOfMemoryError
 from repro.mm.physmem import PhysicalMemory
 from repro.policies.base import FaultContext, PlacementPolicy
 from repro.units import HUGE_ORDER, HUGE_PAGES, order_pages
@@ -152,22 +153,12 @@ class Kernel:
         thp: bool = True,
         contig_threshold: int = 32,
         tick_every_faults: int = 256,
-        engine: str = "fast",
     ):
-        if engine not in ("fast", "scalar"):
-            raise ConfigError(f"unknown kernel engine {engine!r}")
         self.mem = mem
         self.policy = policy
         policy.bind(mem)
         policy.oom_reclaim = self.reclaim_pages
         self.thp = thp
-        #: ``"fast"`` routes the batched hot paths (whole-span faulting
-        #: through bulk buddy pops and policy ``on_fault_batch`` hooks,
-        #: leaf-order fork, region-batched promotion); ``"scalar"``
-        #: routes the reference page-at-a-time paths.  The observable
-        #: state and counters are identical (the tier-1 engine
-        #: differential tests check this).
-        self.engine = engine
         #: True when the bound policy overrides ``on_fault_batch`` (the
         #: span fault path then claims whole order-0 batches).
         self._policy_batches = (
@@ -187,6 +178,22 @@ class Kernel:
         # True once any fork happened: only then can COW leaves exist,
         # so touch_range must inspect already-mapped stretches.
         self._cow_possible = False
+
+    # Checkpoint digests cover the pickled layout, which still carries the
+    # retired engine switch (ROADMAP: "Checkpoints that hold only semantic
+    # state").  Keys are interned as pickle's default restore does, so a
+    # resumed kernel re-pickles byte-identically.
+    def __getstate__(self) -> dict:
+        state = {}
+        for key, value in self.__dict__.items():
+            state[key] = value
+            if key == "thp":
+                state["engine"] = "fast"
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        state.pop("engine", None)
+        self.__dict__.update((sys.intern(k), v) for k, v in state.items())
 
     # -- process lifecycle ---------------------------------------------------
 
@@ -339,13 +346,13 @@ class Kernel:
         re-walking the page table or re-resolving the VMA between
         leaves.  Order-0 stretches are claimed from the policy in one
         ``on_fault_batch`` call (bounded by the pending tick budget so
-        daemon ticks fire after exactly the same fault as the scalar
-        engine) and installed with one page-table descent per PT node
+        daemon ticks fire after exactly the same fault as per-page
+        faulting) and installed with one page-table descent per PT node
         and one run/frame update per physically contiguous segment.
         Huge-eligible faults and pages the policy declines to batch
         (placement decisions, OOM fallbacks) take the per-leaf reference
-        path, so the observable state is bit-identical to the scalar
-        engine's.
+        path, so the observable state is bit-identical to per-page
+        :meth:`fault` calls.
 
         ``on_span(vpn, pfn, n_pages)`` is invoked for every installed
         segment (the hypervisor nested-backs the granted frames there).
@@ -475,11 +482,10 @@ class Kernel:
         exactly) and unmapped gaps are faulted through
         :meth:`fault_span`, so the cost is one run lookup per stretch
         plus one policy call per order-0 batch or huge leaf — not one
-        page-table walk per page.  Behaviour is identical to :meth:`touch_range_scalar`,
-        which the ``scalar`` engine routes here.
+        page-table walk per page.  Behaviour is identical to one
+        :meth:`fault` per unmapped page or COW leaf (the per-page
+        reference in ``tests/reference.py``).
         """
-        if self.engine == "scalar":
-            return self.touch_range_scalar(process, start_vpn, n_pages, write, step)
         space = process.space
         majors = 0
         vpn = start_vpn
@@ -505,24 +511,6 @@ class Kernel:
                 process, vma, gap_start, min(gap_end, vma.end_vpn), write
             )
             majors += n
-        process.touched_pages += n_pages
-        return majors
-
-    def touch_range_scalar(self, process: Process, start_vpn: int, n_pages: int,
-                           write: bool = True, step: int = 1) -> int:
-        """Reference page-by-page :meth:`touch_range` (perf baseline)."""
-        space = process.space
-        majors = 0
-        vpn = start_vpn
-        end = start_vpn + n_pages
-        while vpn < end:
-            walk = space.page_table.walk(vpn)
-            if walk.hit and not (write and walk.pte.flags & PteFlags.COW):
-                vpn = walk.base_vpn + order_pages(walk.pte.order)
-                continue
-            result = self.fault(process, vpn, write)
-            majors += 1
-            vpn = result.vpn + order_pages(result.order) if not result.minor else vpn + step
         process.touched_pages += n_pages
         return majors
 
@@ -555,8 +543,6 @@ class Kernel:
         order) instead of walking every VPN of every VMA — sparse or
         huge-mapped parents fork in O(leaves), not O(pages).
         """
-        if self.engine == "scalar":
-            return self.fork_scalar(parent, name)
         child = self.create_process(name or f"{parent.name}-child", parent.preferred_node)
         self._cow_possible = True
         pairs = []
@@ -576,32 +562,6 @@ class Kernel:
             pte.flags = (pte.flags | PteFlags.COW) & ~PteFlags.WRITE
             child.space.install(child_vma, base_vpn, pte.pfn, pte.order, pte.flags)
             self._account_frame(pte.pfn, pte.order, owner=child.pid)
-        return child
-
-    def fork_scalar(self, parent: Process, name: str = "") -> Process:
-        """Reference per-VPN :meth:`fork` (the ``scalar`` engine path)."""
-        child = self.create_process(name or f"{parent.name}-child", parent.preferred_node)
-        self._cow_possible = True
-        for vma in parent.space.iter_vmas():
-            child_vma = child.space.mmap(
-                vma.n_pages, vma.flags, at_vpn=vma.start_vpn,
-                name=vma.name, file=vma.file,
-            )
-            child_vma.offsets = list(vma.offsets)
-            vpn = vma.start_vpn
-            while vpn < vma.end_vpn:
-                walk = parent.space.page_table.walk(vpn)
-                if not walk.hit:
-                    vpn += 1
-                    continue
-                pte = walk.pte
-                # Write-protect both sides; share the frame.
-                pte.flags = (pte.flags | PteFlags.COW) & ~PteFlags.WRITE
-                child.space.install(
-                    child_vma, walk.base_vpn, pte.pfn, pte.order, pte.flags
-                )
-                self._account_frame(pte.pfn, pte.order, owner=child.pid)
-                vpn = walk.base_vpn + order_pages(pte.order)
         return child
 
     def _cow_break(self, process: Process, vma: Vma, base_vpn: int, old_pte) -> FaultResult:
@@ -801,9 +761,6 @@ class Kernel:
     def remap_region_huge(self, process: Process, vma: Vma, region_vpn: int,
                           new_pfn: int) -> None:
         """Ingens promotion: replace resident 4K pages with one huge leaf."""
-        if self.engine == "scalar":
-            self._remap_region_huge_scalar(process, vma, region_vpn, new_pfn)
-            return
         space = process.space
         for _vpn, pfn, n in space.uninstall_region(vma, region_vpn):
             self._put_frame_span(pfn, n)
@@ -812,24 +769,6 @@ class Kernel:
         )
         self._account_frame(new_pfn, HUGE_ORDER, owner=process.pid)
         self._update_contig_bit(space, region_vpn, pte)
-        self.tlb_shootdowns += 1
-
-    def _remap_region_huge_scalar(self, process: Process, vma: Vma,
-                                  region_vpn: int, new_pfn: int) -> None:
-        """Reference per-page promotion (the ``scalar`` engine path)."""
-        space = process.space
-        vpn = region_vpn
-        while vpn < region_vpn + HUGE_PAGES:
-            walk = space.page_table.walk(vpn)
-            if walk.hit:
-                space.uninstall(vma, walk.base_vpn)
-                self._put_frame(walk.pte.pfn, walk.pte.order)
-            vpn += 1
-        space.install(
-            vma, region_vpn, new_pfn, HUGE_ORDER, self._prot_flags(vma, write=True)
-        )
-        self._account_frame(new_pfn, HUGE_ORDER, owner=process.pid)
-        self._update_contig_bit(space, region_vpn)
         self.tlb_shootdowns += 1
 
     # -- contiguity bit (SpOT table-fill filter, §IV-C) ------------------------------

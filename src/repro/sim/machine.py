@@ -55,7 +55,6 @@ class Machine:
             thp=config.thp,
             contig_threshold=config.contig_threshold,
             tick_every_faults=config.tick_every_faults,
-            engine=config.engine,
         )
         self._hog_blocks: list[tuple[int, int]] = []
 

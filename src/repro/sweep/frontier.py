@@ -138,7 +138,7 @@ def walk_cycle_summary(sims, costs: WalkCosts | None = None) -> dict:
     """Walk-path cost summary of one simulation cell (plain dict)."""
     sim = sims[0]
     model_costs = costs or walk_costs()
-    summary = {
+    return {
         "accesses": int(sim.accesses),
         "l1_hits": int(sim.l1_hits),
         "l2_hits": int(sim.l2_hits),
@@ -149,8 +149,3 @@ def walk_cycle_summary(sims, costs: WalkCosts | None = None) -> dict:
         "nested_thp_walk_cycles": _r(model_costs.nested_thp),
         "nested_4k_walk_cycles": _r(model_costs.nested_4k),
     }
-    if sim.measured_avg_walk_cycles is not None:
-        summary["measured_avg_walk_cycles"] = _r(
-            sim.measured_avg_walk_cycles
-        )
-    return summary

@@ -26,7 +26,7 @@ from repro.mm.physmem import PhysicalMemory
 from repro.sim.kernel import FaultResult, Kernel
 from repro.sim.machine import Machine
 from repro.units import order_pages
-from repro.vm.flags import DEFAULT_ANON, PteFlags
+from repro.vm.flags import DEFAULT_ANON
 from repro.vm.mapping_runs import frame_stretches
 from repro.vm.process import Process
 
@@ -117,7 +117,6 @@ class VirtualMachine:
             thp=guest_thp,
             contig_threshold=cfg.contig_threshold,
             tick_every_faults=cfg.tick_every_faults,
-            engine=cfg.engine,
         )
         self.nested_faults = 0
         #: Callables ``(process, FaultResult)`` run after every guest
@@ -196,8 +195,7 @@ class VirtualMachine:
         immediately, exactly like the per-page :meth:`guest_fault` path.
         Once the guest has forked, a write also breaks the COW leaves of
         the mapped stretches, each through :meth:`guest_fault`, as
-        :meth:`Kernel.touch_range` does natively.  The ``scalar`` guest
-        engine routes the reference per-leaf loop.  With no fault hooks,
+        :meth:`Kernel.touch_range` does natively.  With no fault hooks,
         whole granted segments are nested-backed through ``on_span``
         (one host ``touch_range`` per physically contiguous gPA
         stretch); with hooks installed the per-fault ``on_fault``
@@ -205,8 +203,6 @@ class VirtualMachine:
         sees its FaultResult.
         """
         kernel = self.guest_kernel
-        if kernel.engine == "scalar":
-            return self._guest_touch_range_scalar(process, start_vpn, n_pages, write)
         majors = 0
         vpn = start_vpn
         end = start_vpn + n_pages
@@ -242,24 +238,6 @@ class VirtualMachine:
                 on_fault=on_fault, on_span=back_span,
             )
             majors += n
-        process.touched_pages += n_pages
-        return majors
-
-    def _guest_touch_range_scalar(self, process: Process, start_vpn: int,
-                                  n_pages: int, write: bool = True) -> int:
-        """Reference per-leaf :meth:`guest_touch_range` (scalar engine)."""
-        majors = 0
-        vpn = start_vpn
-        end = start_vpn + n_pages
-        space = process.space
-        while vpn < end:
-            walk = space.page_table.walk(vpn)
-            if walk.hit and not (write and walk.pte.flags & PteFlags.COW):
-                vpn = walk.base_vpn + order_pages(walk.pte.order)
-                continue
-            result = self.guest_fault(process, vpn, write)
-            majors += 1
-            vpn = result.vpn + order_pages(result.order)
         process.touched_pages += n_pages
         return majors
 

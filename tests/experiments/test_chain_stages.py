@@ -37,6 +37,7 @@ from repro.sim.cache import RunCache
 from repro.sim.config import HardwareConfig, ScaleProfile
 from repro.sim.jobs import Executor
 from repro.virt.shadow import attach_shadow_paging
+from tests.reference import PATHS, paths
 
 SMOKE = ScaleProfile(
     name="smoke", bytes_per_paper_gb=1 << 20, machine_paper_gb=(128, 128)
@@ -139,6 +140,22 @@ class TestCheckpoints:
         ]
         assert all(s.state == t.state for s, t in zip(first, again))
 
+    @pytest.mark.parametrize("host,guest", [("ca", "ca"), ("thp", "thp")])
+    def test_resumed_vm_checkpoints_to_the_same_digest(self, host, guest):
+        """Loading an aged VM's checkpoint and checkpointing it again
+        reproduces the logical digest: unpickling restores every key
+        the way the next pickle expects to find it."""
+        from repro.sim.runner import RunOptions, run_virtualized
+
+        vm = common.virtual_machine(host, guest, SMOKE)
+        r = run_virtualized(
+            vm, common.workload("svm", SMOKE),
+            RunOptions(sample_every=None, exit_after=False),
+        )
+        vm.guest_exit_process(r.process)
+        blob, digest = common.checkpoint_vm(vm)
+        assert common.checkpoint_vm(transport.loads(blob))[1] == digest
+
     def test_checkpoint_round_trips_a_shadow_vm(self):
         vm = common.virtual_machine("ca", "ca", SMOKE)
         pager = attach_shadow_paging(vm)
@@ -154,36 +171,37 @@ class TestCheckpoints:
     def test_delta_checkpoint_digest_matches_full(self):
         """A stage written as a delta carries the same logical digest —
         and resumes to the same VM — as the full framing of the same
-        state, for every kernel engine."""
-        for engine in ("fast", "scalar"):
-            vm = common.virtual_machine("ca", "ca", SMOKE, engine=engine)
-            blob0, digest0 = common.checkpoint_vm(vm)
-            stage0 = common.ChainStage(
-                payload=None, state=blob0, state_digest=digest0
-            )
-            # Age the VM one workload past the checkpoint.
-            from repro.sim.runner import RunOptions, run_virtualized
-            from repro.workloads import make_workload
+        state, on both kernel paths."""
+        for path in PATHS:
+            with paths(path):
+                vm = common.virtual_machine("ca", "ca", SMOKE)
+                blob0, digest0 = common.checkpoint_vm(vm)
+                stage0 = common.ChainStage(
+                    payload=None, state=blob0, state_digest=digest0
+                )
+                # Age the VM one workload past the checkpoint.
+                from repro.sim.runner import RunOptions, run_virtualized
+                from repro.workloads import make_workload
 
-            r = run_virtualized(
-                vm, make_workload("svm", SMOKE),
-                RunOptions(sample_every=None, exit_after=False),
-            )
-            vm.guest_exit_process(r.process)
-            vm.guest_kernel.drop_caches()
-            delta_blob, delta_digest = common.checkpoint_vm(vm, (stage0,))
-            full_blob, full_digest = common.checkpoint_vm(vm)
-            assert delta_digest == full_digest, engine
-            assert len(delta_blob) <= len(full_blob), engine
-            # Both resume to the same logical state.
-            stage1 = common.ChainStage(
-                payload=None, state=delta_blob, state_digest=delta_digest,
-                base_digest=digest0,
-            )
-            resumed_delta = common.resume_vm(stage0, stage1)
-            resumed_full = transport.loads(full_blob)
-            assert (common.checkpoint_vm(resumed_delta)[1]
-                    == common.checkpoint_vm(resumed_full)[1]), engine
+                r = run_virtualized(
+                    vm, make_workload("svm", SMOKE),
+                    RunOptions(sample_every=None, exit_after=False),
+                )
+                vm.guest_exit_process(r.process)
+                vm.guest_kernel.drop_caches()
+                delta_blob, delta_digest = common.checkpoint_vm(vm, (stage0,))
+                full_blob, full_digest = common.checkpoint_vm(vm)
+                assert delta_digest == full_digest, path
+                assert len(delta_blob) <= len(full_blob), path
+                # Both resume to the same logical state.
+                stage1 = common.ChainStage(
+                    payload=None, state=delta_blob, state_digest=delta_digest,
+                    base_digest=digest0,
+                )
+                resumed_delta = common.resume_vm(stage0, stage1)
+                resumed_full = transport.loads(full_blob)
+                assert (common.checkpoint_vm(resumed_delta)[1]
+                        == common.checkpoint_vm(resumed_full)[1]), path
 
     def test_delta_checkpoints_are_at_least_2x_smaller_than_pickle(self):
         """Along a boot -> svm -> pagerank aging chain, every delta

@@ -18,12 +18,11 @@ Stream *families* group machines by input shape:
   vRMM, cTLB, Utopia, segmentation, vHC.  Adversarial variants violate
   every invariant at once and must fall back identically.
 - ``spot`` — ``(pcs, vpns, ppns, contigs)`` completed-walk streams.
-- ``tlb``  — ``(keys, huge)`` access streams: the TLB hierarchy and
-  the mechanistic walk simulator.
+- ``tlb``  — ``(keys, huge)`` access streams: the TLB hierarchy.
 - ``ds``   — ``(in_segment_mask,)``.
 
 The state observers double as the shared vocabulary for the end-to-end
-MmuSimulator tests (``test_walk_vector.py``).
+MmuSimulator tests (:func:`mmu_state`).
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro.hw.coalesced_tlb import CoalescedTlb
 from repro.hw.direct_segment import DirectSegment
-from repro.hw.pwc import WalkSimulator
 from repro.hw.rmm import RANGE_FILL, RANGE_HIT, UNCOVERED, RangeTlb
 from repro.hw.segmentation import FILL, GROW, INSIDE, OUTSIDE, SegmentationUnit
 from repro.hw.spot import CORRECT, MISPREDICT, NO_PREDICTION, SpotPredictor
@@ -69,20 +67,6 @@ def ds_state(d: DirectSegment):
     return vars(d.stats).copy()
 
 
-def walk_state(ws: WalkSimulator):
-    cache = ws.pwc._cache
-    state = [
-        vars(ws.stats).copy(),
-        [list(s) for s in cache._sets],
-        (cache.hits, cache.misses),
-    ]
-    if ws.ntlb is not None:
-        state.append(
-            ([list(s) for s in ws.ntlb._sets], ws.ntlb.hits, ws.ntlb.misses)
-        )
-    return state
-
-
 def hier_state(h: TlbHierarchy):
     return [
         ((t.hits, t.misses), [list(s) for s in t._sets])
@@ -109,6 +93,20 @@ def seg_state(s: SegmentationUnit):
         list(s._assigned.items()),
         list(s._rejected),
         vars(s.stats).copy(),
+    )
+
+
+def mmu_state(sim):
+    """End state of an :class:`~repro.hw.mmu_sim.MmuSimulator`: the TLB
+    hierarchy and every scheme machine, orders included."""
+    return (
+        hier_state(sim.tlb),
+        spot_state(sim.spot),
+        rmm_state(sim.rmm),
+        ds_state(sim.ds),
+        ctlb_state(sim.ctlb),
+        utopia_state(sim.utopia),
+        seg_state(sim.seg),
     )
 
 
@@ -363,17 +361,6 @@ def ds_batch(d, stream):
     return (d.on_miss_batch(stream[0]),)
 
 
-def walk_scalar(ws, stream):
-    for v, h in _run_events(stream):
-        ws.walk(v, bool(h))
-    return ()
-
-
-def walk_batch(ws, stream):
-    ws.walk_batch(*stream)
-    return ()
-
-
 _HIER_LEVELS = {"l1": 0, "l2": 1, "miss": 2}
 
 
@@ -473,15 +460,6 @@ SCHEMES = [
     SchemeSpec("ds", "ds", DirectSegment,
                ds_scalar, ds_batch, ds_state,
                ds_stream, None, thrash_ds_stream),
-    SchemeSpec("walk-native4", "tlb", lambda: WalkSimulator(False, 4, 32, 64),
-               walk_scalar, walk_batch, walk_state,
-               tlb_stream, None, thrash_tlb_stream),
-    SchemeSpec("walk-virt5", "tlb", lambda: WalkSimulator(True, 5, 16, 32),
-               walk_scalar, walk_batch, walk_state,
-               tlb_stream, None, thrash_tlb_stream),
-    SchemeSpec("walk-virt-np2", "tlb", lambda: WalkSimulator(True, 4, 12, 12),
-               walk_scalar, walk_batch, walk_state,
-               tlb_stream, None, thrash_tlb_stream),
     SchemeSpec("hier-default", "tlb",
                lambda: TlbHierarchy(SetAssocTlb(64, 4), SetAssocTlb(32, 4),
                                     SetAssocTlb(1536, 6)),

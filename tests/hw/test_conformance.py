@@ -1,8 +1,8 @@
 """The scheme-conformance battery.
 
 One parametrized suite drives every machine in the
-:mod:`tests.hw.conformance` registry — SpOT, vRMM, DS, the walk
-simulator, the TLB hierarchy, cTLB, Utopia, segmentation and vHC —
+:mod:`tests.hw.conformance` registry — SpOT, vRMM, DS, the TLB
+hierarchy, cTLB, Utopia, segmentation and vHC —
 through the same checks:
 
 - scalar-vs-batched **bit identity** on outcome counts *and* full end

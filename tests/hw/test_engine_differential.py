@@ -1,12 +1,13 @@
-"""Scalar-vs-vector MMU engine differential tests.
+"""MMU replay vs its per-access reference, on real memory states.
 
-The vector engine's claim is *bit-identical* counters, not approximate
+The batched replay's claim is *bit-identical* counters, not approximate
 agreement.  The per-machine differentials (TLB hierarchy included) live
 in the scheme-conformance battery (``tests/hw/test_conformance.py``);
 here we pin what the battery cannot: the hash/set-index replication
 against CPython directly — the whole construction stands on it — and
-the full :class:`MmuSimResult` plus every run-keyed scheme machine's
-end state across engines on real memory states.
+the full :class:`MmuSimResult` plus the TLB hierarchy's and every
+scheme machine's end state against the per-access loop in
+``tests/reference.py``.
 """
 
 from dataclasses import asdict
@@ -23,8 +24,9 @@ from repro.sim.runner import RunOptions, run_native, run_virtualized
 from repro.units import order_pages
 from repro.virt.hypervisor import VirtualMachine
 from repro.workloads import make_workload
-from tests.hw.conformance import ctlb_state, rmm_state, seg_state, utopia_state
+from tests.hw.conformance import mmu_state
 from tests.policies.conftest import SMALL
+from tests.reference import PATHS, paths
 
 
 class TestHashReplication:
@@ -65,41 +67,34 @@ def virt_state(workload_name="svm", policy="ca"):
     return vm, wl, r
 
 
-def scheme_states(sim):
-    """End state of every run-keyed scheme machine, orders included."""
-    return (
-        rmm_state(sim.rmm),
-        ctlb_state(sim.ctlb),
-        utopia_state(sim.utopia),
-        seg_state(sim.seg),
-    )
+def run_path(view, trace, starts, wl, path, hw=None):
+    sim = MmuSimulator(view, hw or HardwareConfig())
+    with paths(path):
+        result = asdict(sim.run(trace, starts, workload=wl))
+    return result, mmu_state(sim), sim
 
 
-def run_engine(view, trace, starts, wl, engine, hw=None):
-    sim = MmuSimulator(view, hw or HardwareConfig(), engine=engine)
-    return asdict(sim.run(trace, starts, workload=wl)), scheme_states(sim), sim
-
-
-def assert_engines_agree(view, trace, starts, wl, hw=None):
-    """Scalar and vector engines: same counters, same machine states;
-    returns the vector run's counters and simulator."""
-    scalar, scalar_states, _ = run_engine(view, trace, starts, wl, "scalar", hw)
-    vector, vector_states, sim = run_engine(view, trace, starts, wl, "vector", hw)
-    assert scalar == vector
-    assert scalar_states == vector_states
-    return vector, sim
+def assert_paths_agree(view, trace, starts, wl, hw=None):
+    """Batched replay and per-access reference: same counters, same
+    machine states; returns the batched run's counters and simulator."""
+    runs = {path: run_path(view, trace, starts, wl, path, hw) for path in PATHS}
+    fast, fast_states, sim = runs["fast"]
+    scalar, scalar_states, _ = runs["scalar"]
+    assert scalar == fast
+    assert scalar_states == fast_states
+    return fast, sim
 
 
 class TestMmuSimulatorDifferential:
     def test_native_thp(self):
         wl, r = native_state()
         view = TranslationView.native(r.process)
-        assert_engines_agree(view, wl.trace(30_000), r.vma_start_vpns, wl)
+        assert_paths_agree(view, wl.trace(30_000), r.vma_start_vpns, wl)
 
     def test_native_4k_forced(self):
         wl, r = native_state()
         view = TranslationView.native(r.process, force_4k=True)
-        result, _ = assert_engines_agree(
+        result, _ = assert_paths_agree(
             view, wl.trace(30_000), r.vma_start_vpns, wl
         )
         assert not result["huge"]
@@ -107,7 +102,7 @@ class TestMmuSimulatorDifferential:
     def test_virtualized(self):
         vm, wl, r = virt_state()
         view = TranslationView.virtualized(vm, r.process)
-        result, _ = assert_engines_agree(
+        result, _ = assert_paths_agree(
             view, wl.trace(30_000), r.vma_start_vpns, wl
         )
         assert result["virtualized"]
@@ -117,7 +112,7 @@ class TestMmuSimulatorDifferential:
         the range TLB holds."""
         vm, wl, r = virt_state("xsbench", policy="thp")
         view = TranslationView.virtualized(vm, r.process, force_4k=True)
-        result, sim = assert_engines_agree(
+        result, sim = assert_paths_agree(
             view, wl.trace(20_000), r.vma_start_vpns, wl
         )
         assert not result["huge"]
@@ -129,7 +124,7 @@ class TestMmuSimulatorDifferential:
         vm, wl, r = virt_state("xsbench", policy="thp")
         view = TranslationView.virtualized(vm, r.process, force_4k=True)
         hw = HardwareConfig(utopia_restseg_pages=4096, seg_max_segments=2)
-        _, sim = assert_engines_agree(
+        _, sim = assert_paths_agree(
             view, wl.trace(20_000), r.vma_start_vpns, wl, hw
         )
         u = sim.utopia

@@ -15,7 +15,7 @@ import pytest
 
 from repro.hw.translation import RunIndex, TranslationView
 from tests.hw.test_engine_differential import (
-    assert_engines_agree,
+    assert_paths_agree,
     native_state,
     virt_state,
 )
@@ -89,7 +89,7 @@ class TestRefusedTables:
         t = view.resolve(trace, r.vma_start_vpns)
         assert RunIndex.from_view(view, t) is None
         assert RunIndex.from_stream(t.vpn, t.run_start, t.run_len) is None
-        assert_engines_agree(view, trace, r.vma_start_vpns, wl)
+        assert_paths_agree(view, trace, r.vma_start_vpns, wl)
 
     def test_overlapping_view_refused(self, thp_virt):
         _, wl, r, trace = thp_virt
@@ -100,7 +100,7 @@ class TestRefusedTables:
         t = view.resolve(trace, r.vma_start_vpns)
         assert RunIndex.from_view(view, t) is None
         assert RunIndex.from_stream(t.vpn, t.run_start, t.run_len) is None
-        assert_engines_agree(view, trace, r.vma_start_vpns, wl)
+        assert_paths_agree(view, trace, r.vma_start_vpns, wl)
 
     def test_walk_disagreeing_with_its_row_refused(self):
         view = SimpleNamespace(

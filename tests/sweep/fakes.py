@@ -42,7 +42,6 @@ class FakeSim:
     walks: int
     miss_rate: float
     base: float
-    measured_avg_walk_cycles: float | None = None
 
     #: Per-scheme counters point_metrics reads for coverage extras.
     ctlb_uncovered: int = 10
@@ -94,7 +93,6 @@ def toy_sim(*, workload, policy, trace_len=1000):
         walks=40,
         miss_rate=40 / trace_len,
         base=0.4 / (r + 1),
-        measured_avg_walk_cycles=20.0 + r,
     )]
 
 

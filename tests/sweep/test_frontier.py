@@ -104,10 +104,4 @@ class TestWalkCycleSummary:
         sims = toy_sim(workload="w", policy="p2")
         out = walk_cycle_summary(sims, walk_costs())
         assert out["walks"] == 40
-        assert out["measured_avg_walk_cycles"] == 22.0
         assert out["native_4k_walk_cycles"] > 0
-
-    def test_measured_omitted_when_absent(self):
-        sims = toy_sim(workload="w", policy="p0")
-        sims[0].measured_avg_walk_cycles = None
-        assert "measured_avg_walk_cycles" not in walk_cycle_summary(sims)

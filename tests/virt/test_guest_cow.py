@@ -4,13 +4,11 @@
 as per-leaf ``guest_fault(..., write=True)`` calls over the same range
 do: the same leaves in parent and child, the same COW breaks, the same
 nested backing and, under shadow paging, the same shadow re-syncs.
-Both guest engines are checked; the range holds COW leaves and unmapped
-holes alike.
+Both the batched path and its per-leaf reference (``tests/reference.py``)
+are checked; the range holds COW leaves and unmapped holes alike.
 """
 
 from __future__ import annotations
-
-from dataclasses import replace
 
 import pytest
 
@@ -20,6 +18,7 @@ from repro.units import order_pages
 from repro.virt.hypervisor import VirtualMachine
 from repro.virt.shadow import attach_shadow_paging
 from repro.vm.flags import PteFlags
+from tests.reference import PATHS, paths
 
 SMALL = SystemConfig(node_pages=(32 * 1024, 32 * 1024), churn_ops=400)
 GUEST_PAGES = 16 * 1024
@@ -29,9 +28,8 @@ VMA_PAGES = 2048
 PRE_FORK = ((0, 100), (300, 512), (1100, 40))
 
 
-def forked_vm(engine: str, shadow: bool):
-    vm = VirtualMachine(build_machine("ca", replace(SMALL, engine=engine)),
-                        GUEST_PAGES, "ca")
+def forked_vm(shadow: bool):
+    vm = VirtualMachine(build_machine("ca", SMALL), GUEST_PAGES, "ca")
     pager = attach_shadow_paging(vm) if shadow else None
     parent = vm.create_guest_process("parent")
     vma = vm.guest_mmap(parent, VMA_PAGES)
@@ -82,16 +80,17 @@ def state(vm, pager, parent, child) -> dict:
 
 
 @pytest.mark.parametrize("shadow", [False, True], ids=["nested", "shadow"])
-@pytest.mark.parametrize("engine", ["fast", "scalar"])
-def test_guest_write_touch_breaks_cow_like_per_leaf_faults(engine, shadow):
-    vm, pager, parent, child, vma = forked_vm(engine, shadow)
-    breaks_before = vm.guest_kernel.cow_breaks
-    syncs_before = pager.stats.syncs if shadow else 0
-    vm.guest_touch_range(parent, vma.start_vpn, VMA_PAGES, write=True)
-    touched = state(vm, pager, parent, child)
+@pytest.mark.parametrize("path", PATHS)
+def test_guest_write_touch_breaks_cow_like_per_leaf_faults(path, shadow):
+    with paths(path):
+        vm, pager, parent, child, vma = forked_vm(shadow)
+        breaks_before = vm.guest_kernel.cow_breaks
+        syncs_before = pager.stats.syncs if shadow else 0
+        vm.guest_touch_range(parent, vma.start_vpn, VMA_PAGES, write=True)
+        touched = state(vm, pager, parent, child)
 
-    ref_vm, ref_pager, ref_parent, ref_child, ref_vma = forked_vm(engine, shadow)
-    per_leaf_write(ref_vm, ref_parent, ref_vma.start_vpn, VMA_PAGES)
+        ref_vm, ref_pager, ref_parent, ref_child, ref_vma = forked_vm(shadow)
+        per_leaf_write(ref_vm, ref_parent, ref_vma.start_vpn, VMA_PAGES)
     assert touched == state(ref_vm, ref_pager, ref_parent, ref_child)
 
     # Every pre-fork leaf of the parent was a COW leaf and is now private.
@@ -102,9 +101,10 @@ def test_guest_write_touch_breaks_cow_like_per_leaf_faults(engine, shadow):
         assert pager.stats.syncs > syncs_before
 
 
-@pytest.mark.parametrize("engine", ["fast", "scalar"])
-def test_guest_read_touch_keeps_cow(engine):
-    vm, _, parent, _, vma = forked_vm(engine, shadow=False)
-    breaks_before = vm.guest_kernel.cow_breaks
-    vm.guest_touch_range(parent, vma.start_vpn, PRE_FORK[0][1], write=False)
+@pytest.mark.parametrize("path", PATHS)
+def test_guest_read_touch_keeps_cow(path):
+    with paths(path):
+        vm, _, parent, _, vma = forked_vm(shadow=False)
+        breaks_before = vm.guest_kernel.cow_breaks
+        vm.guest_touch_range(parent, vma.start_vpn, PRE_FORK[0][1], write=False)
     assert vm.guest_kernel.cow_breaks == breaks_before
