@@ -127,7 +127,8 @@ class CoalescedTlb:
         resolves it.  Coverage then closes per window: since runs are
         disjoint and each access lies inside its own run, a resident
         window covers an access iff the run last installed in it equals
-        the access's own run — true for every access except the first
+        the access's own run.  A window inside one run trivially passes
+        that test; elsewhere it holds for every access except the first
         of each maximal equal-run segment (the previous segment's run
         id differs), while the leading warm-covered prefix of the first
         segment checks the warm entry's interval directly (state from
@@ -173,99 +174,88 @@ class CoalescedTlb:
             all_sets = np.concatenate([warm_sets, sets])
         else:
             all_windows, all_sets = windows, sets
-        # A consecutive repeat of a window is a sure hit that leaves
-        # every set's LRU order alone: fold repeats out first.
-        keep = np.ones(all_windows.size, dtype=bool)
-        np.not_equal(all_windows[1:], all_windows[:-1], out=keep[1:])
-        kept_hit, residents = vt.simulate_level(
-            all_windows[keep], all_sets[keep], self.n_sets, self.ways
+        hit_mask, residents = vt.simulate_level(
+            all_windows, all_sets, self.n_sets, self.ways
         )
-        hit_mask = np.ones(all_windows.size, dtype=bool)
-        hit_mask[keep] = kept_hit
         key_hit = hit_mask[len(warm_keys):]
 
-        # Group the stream by window; segment boundaries where the run
-        # changes within a group.
-        order = vt.stable_order(windows)
-        w_sorted = windows[order]
-        id_sorted = runs.ids[order]
-        hit_sorted = key_hit[order]
-        group_first = np.concatenate(([True], w_sorted[1:] != w_sorted[:-1]))
-        seg_first = group_first | np.concatenate(
-            ([True], id_sorted[1:] != id_sorted[:-1])
-        )
-        covered_sorted = hit_sorted & ~seg_first
-
-        # First-segment fix-up for windows resident before the batch:
-        # their leading accesses may be covered by the warm entry.
+        # A window that one run covers whole sees that run on every
+        # access, so once installed in this batch it covers every access
+        # that finds it resident.  Only windows straddling runs, and
+        # windows with a warm entry, need the per-window segment test.
+        lo = windows << self.span_order
+        whole = run_starts <= lo
+        whole &= run_starts + run_lens >= lo + self.span_pages
         warm_all = {w: cov for s in warm_cov for w, cov in s.items()}
         if warm_all:
-            group_starts = np.flatnonzero(group_first)
-            group_ends = np.append(group_starts[1:], n)
             warm_arr = np.asarray(sorted(warm_all), dtype=np.int64)
-            pos = np.searchsorted(w_sorted, warm_arr)
-            for w, p in zip(warm_arr.tolist(), pos.tolist()):
-                if p >= n or int(w_sorted[p]) != w:
-                    continue  # warm window not accessed in this batch
-                g = int(np.searchsorted(group_starts, p, side="right")) - 1
-                lo, hi = int(group_starts[g]), int(group_ends[g])
-                # The warm entry stays installed until the window's first
-                # miss, which may fall in any segment: a warm interval
-                # from an earlier run table can cover several of this
-                # batch's runs.
-                cstart, cend = warm_all[w]
-                v_grp = vpns[order[lo:hi]]
-                wcov = hit_sorted[lo:hi] & (cstart <= v_grp) & (v_grp < cend)
-                miss_at = np.flatnonzero(~wcov)
-                first_miss = int(miss_at[0]) if miss_at.size else hi - lo
-                fixed = covered_sorted[lo:hi]
-                fixed[:first_miss] = True
-                if first_miss < hi - lo:
-                    fixed[first_miss] = False  # the installing miss
-                # Positions after the install are governed by residency
-                # alone (the installed run is that segment's own run),
-                # which covered_sorted already encodes.
+            whole &= ~np.isin(windows, warm_arr)
+        covered_mask = key_hit.copy()
+        final_cov: dict[int, tuple[int, int]] = {}
+        split = np.flatnonzero(~whole)
+        if split.size:
+            # Group those windows' accesses; segment boundaries fall
+            # where the run changes within a group.
+            order = split[vt.stable_order(windows[split])]
+            w_sorted = windows[order]
+            id_sorted = runs.ids[order]
+            hit_sorted = key_hit[order]
+            group_first = np.concatenate(
+                ([True], w_sorted[1:] != w_sorted[:-1])
+            )
+            seg_first = group_first | np.concatenate(
+                ([True], id_sorted[1:] != id_sorted[:-1])
+            )
+            covered_sorted = hit_sorted & ~seg_first
+            if warm_all:
+                self._warm_fixup(
+                    warm_all, w_sorted, group_first, hit_sorted,
+                    vpns[order], covered_sorted,
+                )
+            covered_mask[order] = covered_sorted
 
-        covered_mask = np.empty(n, dtype=bool)
-        covered_mask[order] = covered_sorted
+            # Their final coverage = clip of the *last* miss's run
+            # (windows with no miss keep their warm coverage; evicted
+            # windows leave no state).
+            miss_sorted_pos = np.flatnonzero(~covered_sorted)
+            if miss_sorted_pos.size:
+                w_miss = w_sorted[miss_sorted_pos]
+                last_of_group = np.append(w_miss[1:] != w_miss[:-1], True)
+                last_pos = miss_sorted_pos[last_of_group]
+                resident = np.asarray(
+                    [w for r in residents for w in r], dtype=np.int64
+                )
+                last_pos = last_pos[np.isin(w_sorted[last_pos], resident)]
+                for i in order[last_pos].tolist():
+                    window = int(windows[i])
+                    final_cov[window] = self._clip(
+                        window, int(run_starts[i]), int(run_lens[i])
+                    )
         miss_mask = ~covered_mask
         missed = int(miss_mask.sum())
         covered = n - missed
 
-        # Install accounting: every miss installs run ∩ window.
-        miss_rows = runs.ids[miss_mask]
-        cstart = runs.starts[miss_rows]
-        cend = cstart + runs.lens[miss_rows]
-        lo = windows[miss_mask] << self.span_order
-        np.maximum(cstart, lo, out=cstart)
-        np.minimum(cend, lo + self.span_pages, out=cend)
-        pages_sum = int((cend - cstart).sum())
+        # Install accounting: every miss installs run ∩ window, the
+        # whole window unless the window straddles runs.
+        split_miss = split[miss_mask[split]]
+        cstart = np.maximum(run_starts[split_miss], lo[split_miss])
+        cend = np.minimum(
+            run_starts[split_miss] + run_lens[split_miss],
+            lo[split_miss] + self.span_pages,
+        )
+        pages_sum = self.span_pages * (missed - split_miss.size)
+        pages_sum += int((cend - cstart).sum())
 
-        # Final coverage per resident window = clip of the *last* miss's
-        # run (windows with no miss keep their warm coverage; evicted
-        # windows leave no state).
-        final_cov: dict[int, tuple[int, int]] = {}
-        miss_sorted_pos = np.flatnonzero(~covered_sorted)
-        if miss_sorted_pos.size:
-            w_miss = w_sorted[miss_sorted_pos]
-            last_of_group = np.concatenate((w_miss[1:] != w_miss[:-1], [True]))
-            last_pos = miss_sorted_pos[last_of_group]
-            resident = np.asarray(
-                [w for r in residents for w in r], dtype=np.int64
-            )
-            last_pos = last_pos[np.isin(w_sorted[last_pos], resident)]
-            for p in last_pos.tolist():
-                i = int(order[p])
-                window = int(windows[i])
-                cstart, cend = self._clip(
-                    window, int(run_starts[i]), int(run_lens[i])
-                )
-                final_cov[window] = (cstart, cend)
-
+        # Final coverage per resident window: set above for a window
+        # that straddles runs or was warm (which keeps its warm coverage
+        # if it never missed); a whole window covers itself.
         self._sets = [
             {
-                w: final_cov.get(w) or warm_all[w]
-                for w in map(int, residents[set_idx])
+                w: final_cov.get(w) or warm_all.get(w) or (
+                    w << self.span_order,
+                    (w << self.span_order) + self.span_pages,
+                )
+                for w in residents[set_idx]
             }
             for set_idx in range(self.n_sets)
         ]
@@ -274,6 +264,38 @@ class CoalescedTlb:
         self.stats.pages_covered_sum += pages_sum
         return (covered, missed)
 
+
+    @staticmethod
+    def _warm_fixup(warm_all, w_sorted, group_first, hit_sorted, v_sorted,
+                    covered_sorted):
+        """Cover the leading accesses of windows resident before the
+        batch by their warm entry (arrays grouped by window)."""
+        n = w_sorted.size
+        group_starts = np.flatnonzero(group_first)
+        group_ends = np.append(group_starts[1:], n)
+        warm_arr = np.asarray(sorted(warm_all), dtype=np.int64)
+        pos = np.searchsorted(w_sorted, warm_arr)
+        for w, p in zip(warm_arr.tolist(), pos.tolist()):
+            if p >= n or int(w_sorted[p]) != w:
+                continue  # warm window not accessed in this batch
+            g = int(np.searchsorted(group_starts, p, side="right")) - 1
+            lo, hi = int(group_starts[g]), int(group_ends[g])
+            # The warm entry stays installed until the window's first
+            # miss, which may fall in any segment: a warm interval from
+            # an earlier run table can cover several of this batch's
+            # runs.
+            cstart, cend = warm_all[w]
+            v_grp = v_sorted[lo:hi]
+            wcov = hit_sorted[lo:hi] & (cstart <= v_grp) & (v_grp < cend)
+            miss_at = np.flatnonzero(~wcov)
+            first_miss = int(miss_at[0]) if miss_at.size else hi - lo
+            fixed = covered_sorted[lo:hi]
+            fixed[:first_miss] = True
+            if first_miss < hi - lo:
+                fixed[first_miss] = False  # the installing miss
+            # Positions after the install are governed by residency
+            # alone (the installed run is that segment's own run), which
+            # covered_sorted already encodes.
 
 def ctlb_entries_for_coverage(
     runs: list, footprint_pages: int,

@@ -102,9 +102,7 @@ class RangeTlb:
         :func:`~repro.hw.vector_tlb.simulate_level` call over the
         rangeable (``run_len >= min_range_pages``) subset; shorter runs
         are never filled, so they are uncovered and perturb nothing.
-        Consecutive rangeable misses to one run are folded first: the
-        repeat is a sure hit and leaves the LRU order unchanged.  Warm
-        or unindexable streams fall back to the per-miss loop (same
+        Warm or unindexable streams fall back to the per-miss loop (same
         results, just not batched).
         """
         n = int(len(vpns))
@@ -135,17 +133,14 @@ class RangeTlb:
         uncovered = n - n_rangeable
         hits = fills = 0
         if n_rangeable:
-            change = np.ones(n_rangeable, dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=change[1:])
-            folded = keys[change].astype(np.int64)
             hit_mask, residents = vt.simulate_level(
-                folded,
-                np.zeros(folded.size, dtype=np.int32),
+                keys.astype(np.int64),
+                np.zeros(n_rangeable, dtype=np.int32),
                 1,
                 self.entries,
             )
-            fills = folded.size - int(hit_mask.sum())
-            hits = n_rangeable - fills
+            hits = int(hit_mask.sum())
+            fills = n_rangeable - hits
             rows = np.asarray(residents[0], dtype=np.int64)
             starts = runs.starts[rows]
             self._ranges = dict(

@@ -19,6 +19,7 @@ Outcomes per miss: ``correct`` (walk latency hidden), ``mispredict``
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,8 +188,8 @@ class SpotPredictor:
         Outcomes then follow per PC: each *residency episode* (an
         inserting miss plus the hits that follow it until eviction, or
         a warm entry's leading hits) drives the 2-bit confidence
-        automaton, whose state moves in closed form over runs of equal
-        actual offsets (see :meth:`_episode_outcomes`).
+        automaton, whose state moves by table over runs of equal actual
+        offsets, for all episodes at once (see :meth:`_outcomes`).
         """
         n = int(len(pcs))
         if n == 0:
@@ -297,110 +298,164 @@ class SpotPredictor:
         return hits
 
     def _outcomes(self, pcs64, offsets, hit, contig_b, final_state):
-        """Aggregate outcomes + final entry states, per PC timeline."""
-        correct = mispredict = no_prediction = 0
-        order = np.argsort(pcs64, kind="stable")
-        sorted_pcs = pcs64[order]
-        group_starts = np.flatnonzero(
-            np.concatenate(([True], sorted_pcs[1:] != sorted_pcs[:-1]))
-        )
-        group_ends = np.concatenate((group_starts[1:], [sorted_pcs.size]))
-        for g_lo, g_hi in zip(group_starts.tolist(), group_ends.tolist()):
-            idx = order[g_lo:g_hi]  # this PC's accesses, in time order
-            pc = int(sorted_pcs[g_lo])
-            h = hit[idx]
-            offs = offsets[idx]
-            miss_list = np.flatnonzero(~h).tolist()
-            n_misses = len(miss_list)
-            no_prediction += n_misses
-            # Episode boundaries: leading hits continue the warm entry;
-            # each inserting (contig) miss opens a fresh one.  A hit can
-            # only follow an insert, so bypassed misses own no hits.
-            first_miss = miss_list[0] if n_misses else len(h)
-            if first_miss > 0:
-                o0, c0 = final_state[pc]
-                c, m, np_, state = self._episode_outcomes(
-                    o0, c0, offs[:first_miss]
-                )
-                correct += c
-                mispredict += m
-                no_prediction += np_
-                final_state[pc] = state
-            for j, miss_at in enumerate(miss_list):
-                if not contig_b[idx[miss_at]]:
-                    continue  # bypassed miss: no insert, no episode
-                end = miss_list[j + 1] if j + 1 < n_misses else len(h)
-                o0 = int(offs[miss_at])
-                if miss_at + 1 == end:  # episode with no hits
-                    final_state[pc] = (o0, 1)
-                    continue
-                c, m, np_, state = self._episode_outcomes(
-                    o0, 1, offs[miss_at + 1:end]
-                )
-                correct += c
-                mispredict += m
-                no_prediction += np_
-                final_state[pc] = state
+        """Aggregate outcomes + final entry states, per PC timeline.
+
+        Each PC's accesses, in time order, are a sequence of residency
+        episodes: an inserting (contig) miss or, for a warm entry, its
+        entering state, then the hits that follow until eviction.  Every
+        miss is a ``no_prediction``; bypassed (non-contig) misses insert
+        nothing and own no hits.  Within an episode the hits are split
+        into runs of equal actual offsets, and all episodes of all PCs
+        go through the confidence automaton at once
+        (:func:`_run_states`).
+        """
+        from repro.hw import vector_tlb as vt
+
+        no_prediction = hit.size - int(np.count_nonzero(hit))
+        # Tokens, per PC in time order: the hits, and the inserting
+        # misses that open episodes (at their own offset, confidence 1).
+        order = vt.stable_order(pcs64)
+        token = hit | contig_b
+        if not token.all():
+            order = order[token[order]]
+        if order.size == 0:
+            return 0, 0, no_prediction
+        value = offsets[order]
+        opens = ~hit[order]
+        token_pc = pcs64[order]
+        del order
+        # A PC whose first token hits continues its warm entry: open it
+        # with the entry's state.
+        warm = np.flatnonzero(token_pc[1:] != token_pc[:-1]) + 1
+        warm = np.concatenate(([0], warm))
+        warm = warm[~opens[warm]]
+        if warm.size:
+            warm_pcs = token_pc[warm]
+            warm_states = [final_state[pc] for pc in warm_pcs.tolist()]
+            value = np.insert(value, warm, [o for o, _ in warm_states])
+            opens = np.insert(opens, warm, True)
+            token_pc = np.insert(token_pc, warm, warm_pcs)
+            warm += np.arange(warm.size)
+
+        # Runs: an opening token is a run of its own; hits split where
+        # the offset changes.
+        new_run = opens.copy()
+        new_run[1:] |= opens[:-1]
+        new_run[1:] |= value[1:] != value[:-1]
+        starts = np.flatnonzero(new_run)
+        lens = np.diff(np.append(starts, value.size))
+        vals = value[starts]
+        codes = np.minimum(lens, _LEN_CAP) - 1
+        # The flags of a run's first few moves may compare against the
+        # previous episode, but no state reachable there reads them.
+        for back in (1, 2, 3):
+            eq = np.zeros(vals.size, dtype=bool)
+            np.equal(vals[back:], vals[:-back], out=eq[back:])
+            codes += eq * (_LEN_CAP << (3 - back))
+        codes[opens[starts]] = _MOVES
+        if warm.size:
+            codes[np.searchsorted(starts, warm)] = _MOVES - 1 + np.asarray(
+                [c for _, c in warm_states]
+            )
+
+        nxt, counts = _automaton(self.use_confidence)
+        enter = _run_states(codes, nxt)
+        flat = codes * len(_STATES) + enter
+        # Every access past the capped length of a run is correct.
+        correct = int(counts[0].ravel()[flat].sum())
+        correct += int(np.maximum(lens - _LEN_CAP, 0).sum())
+        mispredict = int(counts[1].ravel()[flat].sum())
+        no_prediction += int(counts[2].ravel()[flat].sum())
+
+        # Each PC's final entry: the state after its last run.
+        run_pc = token_pc[starts]
+        last = np.flatnonzero(np.append(run_pc[1:] != run_pc[:-1], True))
+        leave = nxt.ravel()[flat[last]].tolist()
+        for r, pc, st in zip(last.tolist(), run_pc[last].tolist(), leave):
+            back, conf = _STATES[st]
+            final_state[pc] = (int(vals[r - back]), conf)
         return correct, mispredict, no_prediction
 
-    def _episode_outcomes(self, o0, c0, offs):
-        """Run the confidence automaton over one residency episode.
 
-        ``offs`` are the actual offsets of the episode's hit accesses;
-        the entry enters as ``(o0, c0)``.  Returns the outcome counts
-        plus the final ``(offset, confidence)``, identical to feeding
-        each access through :meth:`on_walk_complete` — but in closed
-        form per run of equal offsets: the cached offset only moves
-        when confidence drains to zero, so inside a run the counter
-        walks a fixed ramp whose fed/match composition is arithmetic.
-        """
-        L_total = int(offs.size)
-        if L_total == 0:
-            return 0, 0, 0, (o0, c0)
-        if not self.use_confidence:
-            # Mismatches replace the offset immediately, so the cached
-            # offset before access j is simply offset j-1 (o0 first);
-            # every access is fed.
-            prev = np.empty(L_total, dtype=np.int64)
-            prev[0] = o0
-            prev[1:] = offs[:-1]
-            n_correct = int((offs == prev).sum())
-            return (
-                n_correct,
-                L_total - n_correct,
-                0,
-                (int(offs[-1]), c0),
-            )
-        correct = mispredict = no_prediction = 0
-        o, c = int(o0), int(c0)
-        run_bounds = np.flatnonzero(offs[1:] != offs[:-1]) + 1
-        starts = np.concatenate(([0], run_bounds))
-        ends = np.concatenate((run_bounds, [L_total]))
-        vals = offs[starts]
-        for a, L in zip(vals.tolist(), (ends - starts).tolist()):
-            if a == o:
-                # Match run: counter ramps c, c+1, ... (capped); fed
-                # (CORRECT) from the first step with confidence >= 2.
-                n_cold = max(0, min(L, CONF_FEED - c))
-                correct += L - n_cold
-                no_prediction += n_cold
-                c = min(CONF_MAX, c + L)
-            else:
-                # Mismatch phase: counter drains c, c-1, ..., 1 (all
-                # steps with confidence >= 2 are fed mispredictions),
-                # then the offset flips to ``a`` with confidence 1 and
-                # the rest of the run is a match ramp from 1.
-                k = min(L, c)
-                n_fed = max(0, min(k, c - 1))
-                mispredict += n_fed
-                no_prediction += k - n_fed
-                if L >= c:
-                    rest = L - c
-                    n_correct = max(0, rest - 1)
-                    correct += n_correct
-                    no_prediction += rest - n_correct
-                    o = a
-                    c = min(CONF_MAX, 1 + rest)
-                else:
-                    c -= L
-        return correct, mispredict, no_prediction, (o, c)
+#: States of the confidence automaton after a run of equal offsets:
+#: ``(back, confidence)``, the cached offset being the value of the run
+#: ``back`` runs earlier.  Consecutive runs differ and a mismatch run
+#: that does not flip the offset must be shorter than the confidence
+#: (at most 3), so the offset is always one of the last three runs'.
+_STATES = ((0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (2, 1))
+#: Run lengths are capped here in the move codes: past it, every
+#: access of a run is correct.
+_LEN_CAP = 5
+#: Move codes below this: ``eq1 eq2 eq3`` (the run's offset equals the
+#: run 1/2/3 back) times the capped length.  Opening an episode at
+#: confidence ``c`` is code ``_MOVES + c - 1``; the identity move after
+#: those pads the last chunk.
+_MOVES = 8 * _LEN_CAP
+_IDENTITY = _MOVES + CONF_MAX
+#: Runs per lockstep chunk of :func:`_run_states`.
+_RUN_CHUNK = 128
+
+
+@functools.lru_cache(maxsize=None)
+def _automaton(use_confidence: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per (move code, state): the next state, and the (correct,
+    mispredict, no_prediction) counts of the run.
+
+    Built by driving a one-entry :class:`SpotPredictor` through
+    :meth:`~SpotPredictor.on_walk_complete`, so the batched replay
+    follows the per-miss reference by construction.
+    """
+    index = {st: k for k, st in enumerate(_STATES)}
+    nxt = np.zeros((_IDENTITY + 1, len(_STATES)), dtype=np.int16)
+    counts = np.zeros((3, _IDENTITY + 1, len(_STATES)), dtype=np.int64)
+    outcome_row = {CORRECT: 0, MISPREDICT: 1, NO_PREDICTION: 2}
+    for code in range(_MOVES):
+        eqs, length = divmod(code, _LEN_CAP)
+        for k, (back, conf) in enumerate(_STATES):
+            # The cached offset is 0; the run's is 0 iff it equals the
+            # run the cached offset came from.
+            actual = 0 if eqs >> (2 - back) & 1 else 1
+            p = SpotPredictor(1, 1, use_confidence=use_confidence)
+            p._insert(0, 0)
+            p._sets[0][0].confidence = conf
+            for _ in range(length + 1):
+                outcome = p.on_walk_complete(0, actual, 0, True)
+                counts[outcome_row[outcome], code, k] += 1
+            entry = p._sets[0][0]
+            moved = 0 if entry.offset == actual else back + 1
+            nxt[code, k] = index[(moved, entry.confidence)]
+    for conf in range(1, CONF_MAX + 1):
+        nxt[_MOVES + conf - 1] = index[(0, conf)]
+    nxt[_IDENTITY] = np.arange(len(_STATES))
+    nxt.flags.writeable = counts.flags.writeable = False  # shared by callers
+    return nxt, counts
+
+
+def _run_states(codes: np.ndarray, nxt: np.ndarray) -> np.ndarray:
+    """The state entering each run, for a stream of move codes.
+
+    Runs are cut into chunks of :data:`_RUN_CHUNK`; each chunk's moves
+    are composed for every entering state at once, in lockstep across
+    chunks, recording the state entering each run.  One pass over the
+    chunks' composed maps then fixes each chunk's actual entering state.
+    The first run is always an opening move, so the stream's own
+    entering state is immaterial.
+    """
+    n_states = len(_STATES)
+    n_chunks = -(-codes.size // _RUN_CHUNK)
+    grid = np.full(n_chunks * _RUN_CHUNK, _IDENTITY, dtype=np.int16)
+    grid[:codes.size] = codes
+    grid = grid.reshape(n_chunks, _RUN_CHUNK) * np.int16(n_states)
+    step = nxt.ravel()
+    state = np.tile(np.arange(n_states, dtype=np.int16), (n_chunks, 1))
+    enter = np.empty((_RUN_CHUNK, n_chunks, n_states), dtype=np.int8)
+    for t in range(_RUN_CHUNK):
+        enter[t] = state
+        state = step[grid[:, t, None] + state]
+    entry = []
+    st = 0
+    for row in state.tolist():
+        entry.append(st)
+        st = row[st]
+    picked = enter[:, np.arange(n_chunks), entry]
+    return picked.T.ravel()[:codes.size].astype(np.int16)

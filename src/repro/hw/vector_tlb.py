@@ -9,19 +9,23 @@ most recently accessed distinct keys, and an access hits iff fewer
 than ``ways`` distinct keys were touched in its set since the previous
 access to the same key (the classic LRU stack-distance criterion).
 
-That criterion is computed without simulating anything, in four
-vectorized stages per set-associative level:
+That criterion is computed without simulating anything, per
+set-associative level:
 
-1. cold keys (no previous occurrence) miss;
-2. a reuse gap of fewer than ``ways`` intervening accesses cannot span
+1. fold: an access whose key equals the previous access in its set is
+   a sure hit and leaves the set unchanged, so it is dropped (and its
+   hit scattered back at the end); the rest of the stream has no
+   adjacent equal keys within a set;
+2. cold keys (no previous occurrence) miss;
+3. a reuse gap of fewer than ``ways`` intervening accesses cannot span
    ``ways`` distinct keys — sure hit;
-3. fewer than ``ways`` *runs* of equal keys inside the gap bounds the
-   distinct count the same way — sure hit;
-4. the remaining ambiguous windows are scanned backward in lockstep,
-   counting only positions whose key does not recur before the access
-   under test (each distinct key in a window is counted exactly once,
-   at its last occurrence there) and stopping at ``ways``; once few
-   windows remain, each is finished with one slice reduction.
+4. the remaining ambiguous windows count distinct keys, where position
+   ``j`` counts iff its key does not recur before the access under
+   test.  A window that starts before its block of :data:`_BLOCK`
+   positions is decided against a ``ways``-wide snapshot of the LRU
+   stack at the block start; a shorter one is scanned backward in
+   lockstep, stopping at ``ways``, and once few windows remain each is
+   finished with one slice reduction.
 
 Set indices replicate :meth:`SetAssocTlb._set_of` bit for bit, which
 requires the CPython ``hash((base_vpn, huge))`` value; the xxHash-based
@@ -43,6 +47,12 @@ _SET_MIX = np.uint64(0x9E3779B1)
 #: slice reductions (the long tail would otherwise pay per-round
 #: dispatch overhead on near-empty arrays).
 _SCAN_TAIL = 256
+#: Ambiguous windows that start before their block of this many
+#: (folded, set-grouped) positions are decided against a snapshot of
+#: the LRU stack at the block start; shorter ones are scanned.
+_BLOCK = 512
+#: Windows per snapshot-test chunk (bounds the ``ways``-wide temporaries).
+_CHUNK = 16384
 
 
 def tuple2_hashes(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -127,10 +137,11 @@ def stable_order(keys: np.ndarray) -> np.ndarray:
     return np.argsort(keys, kind="stable")
 
 
-def _set_grouped_order(sets: np.ndarray, n_sets: int) -> np.ndarray:
-    """Stable permutation grouping accesses by set (time order within)."""
+def _set_grouped_order(sets: np.ndarray, n_sets: int) -> np.ndarray | None:
+    """Stable permutation grouping accesses by set (time order within);
+    None for one set, whose stream is grouped already."""
     if n_sets == 1:
-        return np.arange(sets.size, dtype=np.int64)
+        return None
     if n_sets <= 4:
         # A handful of linear passes beats the packed sort.
         return np.concatenate(
@@ -139,21 +150,49 @@ def _set_grouped_order(sets: np.ndarray, n_sets: int) -> np.ndarray:
     return stable_order(sets)
 
 
-def _ambiguous_hits(
-    q: np.ndarray, prev: np.ndarray, nxt: np.ndarray, ways: int
-) -> np.ndarray:
-    """Resolve the ambiguous windows; returns the hitting subset of ``q``.
+def _prev_next(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Previous and next position of each key (-1 and ``c.size`` when
+    there is none), as int32.
 
-    All arrays are in set-grouped positions.  Each window ``(prev[i],
-    i)`` is scanned backward one position per lockstep round; position
-    ``j`` counts toward the distinct total iff its key does not recur
+    Packing the position into the key's low bits makes a plain sort
+    stable for free and keeps numpy on its fast unstable path; the
+    stable argsort fallback covers keys too wide to pack.
+    """
+    m = c.size
+    shift = m.bit_length()
+    if int(c.min()) >= 0 and int(c.max()) < (1 << (62 - shift)):
+        sp = c << shift
+        sp |= np.arange(m, dtype=np.int64)
+        sp.sort()
+        o2 = (sp & np.int64((1 << shift) - 1)).astype(np.int32)
+        sp >>= shift
+        same = sp[1:] == sp[:-1]
+    else:
+        o2 = np.argsort(c, kind="stable").astype(np.int32)
+        co = c[o2]
+        same = co[1:] == co[:-1]
+    lo = o2[:-1][same]
+    hi = o2[1:][same]
+    prev = np.full(m, -1, dtype=np.int32)
+    prev[hi] = lo
+    nxt = np.full(m, m, dtype=np.int32)
+    nxt[lo] = hi
+    return prev, nxt
+
+
+def _scan_hits(
+    i_arr: np.ndarray, p: np.ndarray, nxt: np.ndarray, ways: int
+) -> list[np.ndarray]:
+    """Hitting windows ``(p, i)`` among short ones, by lockstep scan.
+
+    Each window is scanned backward one position per round; position
+    ``j`` counts toward its distinct total iff its key does not recur
     before ``i`` (``nxt[j] >= i``).  Reaching ``ways`` decides a miss,
     exhausting the window decides a hit.
     """
     hits = []
-    i_arr = q.astype(np.int32)
-    p1 = prev[q] + 1  # window floor
-    cnt = np.zeros(q.size, dtype=np.int32)
+    p1 = p + 1  # window floor
+    cnt = np.zeros(i_arr.size, dtype=np.int32)
     j = i_arr - 1
     while i_arr.size > _SCAN_TAIL:
         # Scan a few positions between compactions: dead lanes keep
@@ -171,7 +210,7 @@ def _ambiguous_hits(
         if dead.any():
             done_hit = ended & ~missed
             if done_hit.any():
-                hits.append(i_arr[done_hit].astype(np.int64))
+                hits.append(i_arr[done_hit])
             live = ~dead
             i_arr = i_arr[live]
             p1 = p1[live]
@@ -179,14 +218,70 @@ def _ambiguous_hits(
             j = j[live]
     # Tail: one slice reduction per remaining window (no early stop
     # needed — only a handful of windows are left).
-    tail = [
+    hits.append(np.asarray([
         int(i_arr[t])
         for t in range(i_arr.size)
         if int(cnt[t]) + int((nxt[int(p1[t]):int(j[t]) + 1] >= i_arr[t]).sum())
         < ways
-    ]
-    hits.append(np.asarray(tail, dtype=np.int64))
-    return np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    ], dtype=np.int32))
+    return hits
+
+
+def _snapshot_hits(
+    i_arr: np.ndarray, p: np.ndarray, prev: np.ndarray, nxt: np.ndarray,
+    ways: int,
+) -> list[np.ndarray]:
+    """Hitting windows ``(p, i)`` among those that start before the
+    block holding ``i``, against per-block snapshots of the LRU stack.
+
+    With ``b`` the block start (``p < b <= i``), the window's distinct
+    keys are those touched in ``[b, i)`` — one per position there whose
+    previous occurrence lies before ``b`` — plus those whose last access
+    before ``b`` lies past ``p`` and that do not recur before ``i``.
+    The last accesses before ``b`` are the positions alive at ``b``
+    (``nxt >= b``), and only the latest ``ways`` of them matter: when
+    all of those lie past ``p`` the window misses anyway.
+    """
+    m = nxt.size
+    block_start = np.arange(m, dtype=np.int32)
+    block_start &= np.int32(-_BLOCK)
+    # The snapshot at block k is the latest `ways` of the snapshot at
+    # block k-1 still alive plus block k-1's positions alive at its end.
+    end_alive = np.flatnonzero(nxt >= block_start + _BLOCK).astype(np.int32)
+    n_blocks = int(i_arr.max()) // _BLOCK + 1
+    cuts = np.searchsorted(
+        end_alive, np.arange(n_blocks, dtype=np.int32) * _BLOCK
+    ).tolist()
+    snap = np.full((n_blocks, ways), -1, dtype=np.int32)
+    cur = end_alive[:0]
+    for k in range(1, n_blocks):
+        fresh = end_alive[cuts[k - 1]:cuts[k]]
+        if fresh.size < ways:
+            cur = np.concatenate((cur[nxt[cur] >= k * _BLOCK], fresh))[-ways:]
+        else:
+            cur = fresh[-ways:]
+        snap[k, ways - cur.size:] = cur
+    snap_next = nxt[snap]  # padding (-1) gathers junk; `snap > p` drops it
+    # Keys first touched in [b, i): prefix counts of positions whose
+    # previous occurrence lies before their block.
+    first = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(prev < block_start, out=first[1:])
+    del block_start
+    # Windows touching `ways` keys in [b, i) already miss.
+    count = first[i_arr]
+    count -= first[i_arr & np.int32(-_BLOCK)]
+    open_ = count < ways
+    i_arr, p, count = i_arr[open_], p[open_], count[open_]
+    hits = []
+    for lo in range(0, i_arr.size, _CHUNK):
+        i = i_arr[lo:lo + _CHUNK]
+        k = i // _BLOCK
+        late = snap[k] > p[lo:lo + _CHUNK, None]
+        late &= snap_next[k] >= i[:, None]
+        c = late.sum(axis=1, dtype=np.int32)
+        c += count[lo:lo + _CHUNK]
+        hits.append(i[c < ways])
+    return hits
 
 
 def simulate_level(
@@ -204,68 +299,47 @@ def simulate_level(
     if m == 0:
         return np.zeros(0, dtype=bool), [[] for _ in range(n_sets)]
     order = _set_grouped_order(sets, n_sets)
-    c = codes[order]
-    s = sets[order]
+    c = codes if order is None else codes[order]
 
-    # Previous / next occurrence of the same key, in grouped positions
-    # (a key always maps to one set, so key-sorting respects groups).
-    # Packing the position into the key's low bits makes a plain sort
-    # stable for free and keeps numpy on its fast unstable path; the
-    # stable argsort fallback covers keys too wide to pack.
-    shift = m.bit_length()
-    pos = np.arange(m, dtype=np.int64)
-    if int(c.min()) >= 0 and int(c.max()) < (1 << (62 - shift)):
-        sp = c << shift
-        sp |= pos
-        sp.sort()
-        o2 = (sp & np.int64((1 << shift) - 1)).astype(np.int32)
-        sp >>= shift
-        same = sp[1:] == sp[:-1]
-    else:
-        o2 = np.argsort(c, kind="stable").astype(np.int32)
-        co = c[o2]
-        same = co[1:] == co[:-1]
-    o2_lo = o2[:-1][same]
-    o2_hi = o2[1:][same]
-    prev = np.full(m, -1, dtype=np.int32)
-    prev[o2_hi] = o2_lo
-    nxt = np.full(m, m, dtype=np.int32)
-    nxt[o2_lo] = o2_hi
+    # Fold: an access whose key equals the previous access in its set
+    # is a sure hit and leaves the set unchanged (a key maps to one
+    # set, so equal neighbours in grouped order share a set).
+    keep = np.empty(m, dtype=bool)
+    keep[0] = True
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    src = np.flatnonzero(keep)
+    c = c[src]
+    if order is not None:
+        src = order[src]
+    del keep, order
+    prev, nxt = _prev_next(c)
 
     # A reuse gap below `ways` cannot span `ways` distinct keys; the
-    # max() keeps cold keys (prev == -1) out at small positions.
-    pos32 = pos.astype(np.int32)
-    hit = prev >= np.maximum(pos32 - ways, 0)
-
-    q = np.flatnonzero((prev >= 0) & ~hit)
+    # floor at 0 keeps cold keys (prev == -1) out at small positions.
+    floor = np.arange(-ways, c.size - ways, dtype=np.int32)
+    np.maximum(floor, 0, out=floor)
+    hit = prev >= floor
+    q = np.flatnonzero((prev >= 0) & ~hit).astype(np.int32)
     if q.size:
-        # Runs of equal keys inside the reuse window bound its distinct
-        # count; window starts (prev+1) always begin a run because the
-        # key at prev cannot repeat inside its own reuse window.
-        bound = np.empty(m, dtype=bool)
-        bound[0] = True
-        np.not_equal(c[1:], c[:-1], out=bound[1:])
-        bound[1:] |= s[1:] != s[:-1]
-        rpre = np.cumsum(bound, dtype=np.int32)
-        runs = rpre[q - 1] - rpre[prev[q]]
-        ok = runs < ways
-        hit[q[ok]] = True
-        q = q[~ok]
-    if q.size:
-        hit[_ambiguous_hits(q, prev, nxt, ways)] = True
+        p = prev[q]
+        near = p >= (q & np.int32(-_BLOCK))
+        pieces = _scan_hits(q[near], p[near], nxt, ways)
+        far = ~near
+        if far.any():
+            pieces += _snapshot_hits(q[far], p[far], prev, nxt, ways)
+        hit[np.concatenate(pieces)] = True
 
     # Post-stream residents: each set's last `ways` distinct keys, in
-    # last-access order = each key's final occurrence (nxt == m).
-    last_pos = np.flatnonzero(nxt == m)
-    ls = s[last_pos]
-    by_set = last_pos[_set_grouped_order(ls, n_sets)]
-    counts = np.bincount(ls, minlength=n_sets)
-    ends = np.cumsum(counts)
+    # last-access order = each key's final occurrence (nxt == size);
+    # grouped positions are already ordered by set.
+    last_pos = np.flatnonzero(nxt == c.size)
+    counts = np.bincount(sets[src[last_pos]], minlength=n_sets)
+    ends = np.cumsum(counts).tolist()
     resident = []
-    for k in range(n_sets):
-        grp = by_set[max(ends[k] - ways, ends[k] - counts[k]):ends[k]]
+    for k, count in enumerate(counts.tolist()):
+        grp = last_pos[max(ends[k] - ways, ends[k] - count):ends[k]]
         resident.append(c[grp].tolist())
 
-    out = np.empty(m, dtype=bool)
-    out[order] = hit
+    out = np.ones(m, dtype=bool)
+    out[src] = hit
     return out, resident

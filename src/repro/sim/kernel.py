@@ -473,7 +473,7 @@ class Kernel:
         return self.fault(process, vpn, write)
 
     def touch_range(self, process: Process, start_vpn: int, n_pages: int,
-                    write: bool = True, step: int = 1) -> int:
+                    write: bool = True) -> int:
         """Touch ``n_pages`` from ``start_vpn``; returns major fault count.
 
         Skips pages already mapped cheaply (no minor-fault accounting),

@@ -216,6 +216,49 @@ def thrash_spot_stream():
     )
 
 
+def episode_spot_stream(n=24_000, seed=11):
+    """Two PCs, ``n`` contig walks: each PC's entry stays resident, so
+    its one residency episode spans thousands of offset runs — many
+    chunks of the batched confidence automaton.
+
+    Each PC inserts at offset ``a`` and its first hit run repeats ``a``.
+    Then come stretches of alternating ``a``/``b`` runs (single ``b``
+    runs leave the cached offset in place), runs of length 1–6 over a
+    few offsets, and all-distinct stretches.
+    """
+    rng = np.random.default_rng(seed)
+    a, b = 512, 1024
+    fresh = 4096
+    per_pc = []
+    for _ in range(2):
+        offs = [a] * int(rng.integers(2, 9))
+        while len(offs) < n // 2:
+            kind = int(rng.integers(0, 3))
+            if kind == 0:
+                # Once confidence saturates on `a`, single `b` runs
+                # cannot flip it, while a low-confidence entry flips on
+                # every run: hundreds of runs whose state depends on
+                # how the stretch was entered.
+                offs += [a] * int(rng.integers(5, 9))
+                offs += [a, b] * int(rng.integers(100, 400))
+            elif kind == 1:
+                for _ in range(int(rng.integers(2, 40))):
+                    offs += [int(rng.choice([a, b, 1536]))] * int(rng.integers(1, 7))
+            else:
+                count = int(rng.integers(1, 30))
+                offs += range(fresh, fresh + count)
+                fresh += count
+        per_pc.append(offs[:n // 2])
+    # Interleave the two PCs, each in its own order.
+    first = rng.permutation(np.arange(n) < n // 2)
+    pcs = np.where(first, 0x400010, 0x400024).astype(np.int64)
+    offsets = np.empty(n, dtype=np.int64)
+    offsets[first] = per_pc[0]
+    offsets[~first] = per_pc[1]
+    vpns = np.arange(n, dtype=np.int64) * 3 + (1 << 20)
+    return pcs, vpns, vpns - offsets, np.ones(n, dtype=bool)
+
+
 def tlb_stream(rng, n, universe=600, huge_frac=0.5):
     keys = rng.integers(0, universe, n).astype(np.int64)
     huge = np.asarray(rng.random(n) < huge_frac, dtype=bool)
@@ -431,6 +474,9 @@ class SchemeSpec:
     #: Invariant-violating generator; None when every input is valid.
     adversarial: Optional[Callable[[np.random.Generator, int], Stream]] = None
     thrash: Optional[Callable[[], Stream]] = None
+    #: Long deterministic stream whose residency episodes cross many
+    #: chunks of a batched stage; None when the machine has none.
+    episodes: Optional[Callable[[], Stream]] = None
 
 
 def _run_spec(name, factory, scalar, batch, state):
@@ -445,14 +491,14 @@ SCHEMES = [
     # count (exact set-index fallback), fully associative, no-confidence.
     SchemeSpec("spot-32x4", "spot", lambda: SpotPredictor(32, 4),
                spot_scalar, spot_batch, spot_state,
-               spot_stream, None, thrash_spot_stream),
+               spot_stream, None, thrash_spot_stream, episode_spot_stream),
     SchemeSpec("spot-24x4", "spot", lambda: SpotPredictor(24, 4),
                spot_scalar, spot_batch, spot_state,
                spot_stream, None, thrash_spot_stream),
     SchemeSpec("spot-8x8-noconf", "spot",
                lambda: SpotPredictor(8, 8, use_confidence=False),
                spot_scalar, spot_batch, spot_state,
-               spot_stream, None, thrash_spot_stream),
+               spot_stream, None, thrash_spot_stream, episode_spot_stream),
     _run_spec("rmm-16", lambda: RangeTlb(16),
               rmm_scalar, rmm_batch, rmm_state),
     _run_spec("rmm-4", lambda: RangeTlb(4),

@@ -10,7 +10,9 @@ through the same checks:
   stats) over cold, warm-chunked, adversarial and thrashing streams;
 - an empty batch is a strict no-op;
 - hypothesis-generated traces (well-formed and invariant-violating);
-- a pickle round-trip of mid-stream state continues identically.
+- a pickle round-trip of mid-stream state continues identically;
+- for machines with a chunked batched stage (SpOT's automaton), a
+  long episode stream crossing many chunks, also cut mid-episode.
 
 Machines without a batched form (vHC) run scalar-vs-scalar, which pins
 determinism and pickle fidelity under the identical battery.
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw import spot
 from tests.hw.conformance import (
     FAMILY_STRATEGIES,
     SCHEME_IDS,
@@ -98,3 +101,37 @@ class TestConformance:
         clone = pickle.loads(pickle.dumps(ref))
         assert spec.state(clone) == spec.state(ref)
         drive(spec, ref, clone, second)
+
+    def test_episode_stream(self, spec, monkeypatch):
+        """Episodes spanning many automaton chunks stay bit-identical."""
+        if spec.episodes is None:
+            pytest.skip(f"{spec.name} has no chunked batched stage")
+        runs = []
+        chunked = spot._run_states
+
+        def counted(codes, nxt):
+            runs.append(codes.size)
+            return chunked(codes, nxt)
+
+        monkeypatch.setattr(spot, "_run_states", counted)
+        drive(spec, spec.factory(), spec.factory(), spec.episodes())
+        assert max(runs) > 20 * spot._RUN_CHUNK
+
+    def test_pickle_roundtrip_mid_episode(self, spec):
+        """Cut a long stream inside an offset run of a live episode: the
+        batched clone must resume each entry's offset and confidence."""
+        if spec.episodes is None:
+            pytest.skip(f"{spec.name} has no chunked batched stage")
+        stream = spec.episodes()
+        pcs, vpns, ppns, _ = stream
+        offsets = vpns - ppns
+        n = pcs.size
+        cut = next(
+            i for i in range(n // 2, n)
+            if pcs[i] == pcs[i - 1] and offsets[i] == offsets[i - 1]
+        )
+        ref, vec = spec.factory(), spec.factory()
+        drive(spec, ref, vec, stream_slice(stream, 0, cut))
+        clone = pickle.loads(pickle.dumps(vec))
+        assert spec.state(clone) == spec.state(ref)
+        drive(spec, ref, clone, stream_slice(stream, cut, n))

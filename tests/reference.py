@@ -31,7 +31,7 @@ from repro.vm.flags import PteFlags
 
 
 def touch_range(self: Kernel, process, start_vpn: int, n_pages: int,
-                write: bool = True, step: int = 1) -> int:
+                write: bool = True) -> int:
     """Page-by-page :meth:`Kernel.touch_range`: one walk per stretch,
     one :meth:`Kernel.fault` per unmapped page or COW leaf."""
     space = process.space
@@ -45,7 +45,7 @@ def touch_range(self: Kernel, process, start_vpn: int, n_pages: int,
             continue
         result = self.fault(process, vpn, write)
         majors += 1
-        vpn = result.vpn + order_pages(result.order) if not result.minor else vpn + step
+        vpn = result.vpn + order_pages(result.order) if not result.minor else vpn + 1
     process.touched_pages += n_pages
     return majors
 

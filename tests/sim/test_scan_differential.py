@@ -86,7 +86,9 @@ def ranger_epochs(thp: bool) -> dict:
     )):
         vma = kernel.mmap(process, 3072, flags=DEFAULT_ANON, name="heap")
         for start, n_pages, step in touches:
-            kernel.touch_range(process, vma.start_vpn + start, n_pages, step=step)
+            # Every `step`-th page: a step above 1 leaves holes.
+            for vpn in range(start, start + n_pages, step):
+                kernel.touch_range(process, vma.start_vpn + vpn, 1)
     migrations = []
     for _ in range(10):
         kernel.run_daemons()

@@ -149,7 +149,8 @@ def run_lifetimes(policy: str, reference: bool, monkeypatch) -> list:
     spare = kernel.mmap(parent, 1500, flags=DEFAULT_ANON, name="spare")
     kernel.touch_range(parent, heap.start_vpn + 100, 1500)
     kernel.touch_range(parent, heap.start_vpn + 2000, 900)
-    kernel.touch_range(parent, sparse.start_vpn, 2048, step=3)
+    for vpn in range(sparse.start_vpn, sparse.end_vpn, 3):
+        kernel.touch_range(parent, vpn, 1)  # every third page
     kernel.touch_range(parent, spare.start_vpn + 7, 600)
     mixed = plant_mixed_stretches(kernel, parent)
     for _ in range(8):
@@ -158,7 +159,8 @@ def run_lifetimes(policy: str, reference: bool, monkeypatch) -> list:
 
     bystander = kernel.create_process("bystander", preferred_node=1)
     other = kernel.mmap(bystander, 5000, flags=DEFAULT_ANON, name="heap")
-    kernel.touch_range(bystander, other.start_vpn + 3, 4000, step=2)
+    for vpn in range(other.start_vpn + 3, other.start_vpn + 4003, 2):
+        kernel.touch_range(bystander, vpn, 1)  # every other page
 
     child = kernel.fork(parent)
     # COW breaks on both sides.  Ingens allocates 4K first, so it cannot
