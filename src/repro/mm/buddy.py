@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from repro.errors import BuddyError, OutOfMemoryError
-from repro.mm.frame import FrameTable
+from repro.mm.frame import NOT_A_FREE_HEAD, NOT_ALLOCATED, FrameTable
 from repro.units import DEFAULT_MAX_ORDER, is_aligned, order_pages
 
 
@@ -297,23 +297,31 @@ class BuddyAllocator:
         are always below ``max_order``, so the only listener events are
         the pop-side removals, exactly as in the sequential path.
         """
+        frames = self.frames
+        offset = frames.base_pfn
+        free_order, refcount, alloc_order = (
+            frames.free_order, frames.refcount, frames.alloc_order
+        )
+        lists = self._lists
         out = np.empty(n, dtype=np.int64)
         got = 0
         while got < n:
-            for avail in range(self.max_order + 1):
-                if self._lists[avail]:
+            for avail, free in enumerate(lists):
+                if free._blocks:
                     break
             else:
                 return out[:got]
-            head = self._lists[avail].pop()
-            self.frames.clear_head(head)
-            self._free_pages -= order_pages(avail)
+            head = free.pop()
+            i = head - offset
+            free_order[i] = NOT_A_FREE_HEAD  # clear_head
+            block_pages = order_pages(avail)
+            self._free_pages -= block_pages
             if avail == self.max_order:
                 self._notify(head, False)
-            block_pages = order_pages(avail)
             take = min(n - got, block_pages)
             out[got : got + take] = np.arange(head, head + take, dtype=np.int64)
-            self.frames.mark_allocated_run(head, take)
+            refcount[i : i + take] = 1  # mark_allocated_run
+            alloc_order[i : i + take] = 0
             got += take
             self._insert_greedy(head + take, head + block_pages)
         return out
@@ -395,7 +403,9 @@ class BuddyAllocator:
             raise BuddyError(f"freeing misaligned pfn {pfn:#x} at order {order}")
         if not self.contains(pfn) or pfn + order_pages(order) > self.end_pfn:
             raise BuddyError(f"freeing pfn {pfn:#x} outside managed range")
-        if self.find_free_block(pfn) is not None:
+        # Only the allocator writes ``alloc_order``: a frame reads
+        # NOT_ALLOCATED exactly when it lies inside a free block.
+        if self.frames.alloc_order[pfn - self.frames.base_pfn] == NOT_ALLOCATED:
             raise BuddyError(f"double free of pfn {pfn:#x} (order {order})")
         self.frames.mark_free(pfn, order_pages(order))
         while order < self.max_order:
@@ -406,6 +416,53 @@ class BuddyAllocator:
             pfn = min(pfn, buddy)
             order += 1
         self._insert(pfn, order)
+
+    def free_span(self, pfn: int, n_pages: int) -> None:
+        """Free ``[pfn, pfn + n_pages)`` as its maximal aligned blocks.
+
+        Equal to :meth:`free_block` of each block of the span's greedy
+        buddy decomposition in ascending address order: the same
+        ``_insert``/``_remove`` sequence (so every FIFO list ends in the
+        same order and the max-order listeners see the same events), in
+        one call with the frame columns cleared by one slice write.
+        Raises :class:`BuddyError`, freeing nothing, when any frame of
+        the span is already free.
+        """
+        end = pfn + n_pages
+        if n_pages < 0 or not (self.base_pfn <= pfn and end <= self.end_pfn):
+            raise BuddyError(
+                f"freeing span [{pfn:#x}, {end:#x}) outside managed range"
+            )
+        if not n_pages:
+            return
+        frames = self.frames
+        offset = frames.base_pfn
+        i = pfn - offset
+        if frames.alloc_order[i:i + n_pages].min() == NOT_ALLOCATED:
+            raise BuddyError(f"double free inside span [{pfn:#x}, {end:#x})")
+        frames.mark_free(pfn, n_pages)
+        free_order = frames.free_order
+        lists = self._lists
+        max_order = self.max_order
+        lo, hi = self.base_pfn, self.end_pfn
+        while pfn < end:
+            align = (pfn & -pfn).bit_length() - 1 if pfn else max_order
+            order = min(align, (end - pfn).bit_length() - 1, max_order)
+            head = pfn
+            pfn += 1 << order
+            while order < max_order:
+                buddy = head ^ (1 << order)
+                if not lo <= buddy < hi or free_order[buddy - offset] != order:
+                    break
+                lists[order].remove(buddy)  # _remove below max_order
+                free_order[buddy - offset] = NOT_A_FREE_HEAD
+                head = min(head, buddy)
+                order += 1
+            lists[order].add(head)  # _insert
+            free_order[head - offset] = order
+            if order == max_order:
+                self._notify(head, True)
+        self._free_pages += n_pages
 
     # -- helpers -----------------------------------------------------------------
 

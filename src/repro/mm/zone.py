@@ -105,6 +105,10 @@ class Zone:
         """Free a block previously returned by this node."""
         self.buddy.free_block(pfn, order)
 
+    def free_span(self, pfn: int, n_pages: int) -> None:
+        """Free an allocated stretch of frames as its aligned blocks."""
+        self.buddy.free_span(pfn, n_pages)
+
     def is_free(self, pfn: int) -> bool:
         """True when the frame is inside a free buddy block."""
         return self.buddy.is_free(pfn)

@@ -118,9 +118,10 @@ class PlacementPolicy:
     def on_fault_batch(self, ctx: FaultContext, vpns) -> "np.ndarray":
         """Batch-place order-0 faults for the ``fast`` span fault path.
 
-        ``vpns`` is an ascending int64 array of unmapped base VPNs; the
-        policy may claim any *prefix* of it and must return the matching
-        int64 PFN array (``pfns[i]`` backs ``vpns[i]``).  Contract:
+        ``vpns`` is an int64 array of consecutive unmapped base VPNs
+        (``vpns[0]``, ``vpns[0] + 1``, ...); the policy may claim any
+        *prefix* of it and must return the matching int64 PFN array
+        (``pfns[i]`` backs ``vpns[i]``).  Contract:
 
         - never raise — on pressure or a placement miss, stop claiming
           and return what was claimed so far (possibly empty); the

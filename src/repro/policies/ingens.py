@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro.errors import OutOfMemoryError
 from repro.policies.base import FaultContext, PlacementPolicy
 from repro.units import HUGE_ORDER, HUGE_PAGES
@@ -56,23 +54,23 @@ class IngensPaging(PlacementPolicy):
         return self._default_alloc(0, ctx.preferred_node)
 
     def on_fault_batch(self, ctx: FaultContext, vpns):
-        """Span fault path: bulk base-page grab + array-reduced util counts.
+        """Span fault path: bulk base-page grab + per-region util counts.
 
-        ``np.unique`` on the ascending VPN batch yields regions in
-        first-fault order, so ``_util``'s dict insertion order — which
-        the promotion pass observes — matches per-fault :meth:`allocate`
-        calls exactly.
+        The claimed vpns run consecutively, so each 2 MiB region they
+        cross counts its overlap, in ascending (first-fault) order:
+        ``_util``'s dict insertion order — which the promotion pass
+        observes — matches per-fault :meth:`allocate` calls exactly.
         """
         pfns = self._bulk_alloc_accounted(len(vpns), ctx.preferred_node)
         got = len(pfns)
         if got:
-            regions, counts = np.unique(
-                vpns[:got] - vpns[:got] % HUGE_PAGES, return_counts=True
-            )
+            first = int(vpns[0])
+            end = first + got
             space_id = id(ctx.space)
             util = self._util
-            for region, count in zip(regions.tolist(), counts.tolist()):
+            for region in range(first - first % HUGE_PAGES, end, HUGE_PAGES):
                 key = (space_id, region)
+                count = min(end, region + HUGE_PAGES) - max(first, region)
                 util[key] = util.get(key, 0) + count
         return pfns
 

@@ -260,6 +260,7 @@ class Kernel:
         self.policy.on_munmap(process.space, vma)
         # Free by physical stretch: consecutive leaves (VPN order) whose
         # frames continue each other go back in one span.
+        stretches: list[tuple[int, int]] = []
         start = n_pages = 0
         for _vpn, pte in process.space.munmap(vma):
             pages = order_pages(pte.order)
@@ -267,10 +268,11 @@ class Kernel:
                 n_pages += pages
                 continue
             if n_pages:
-                self._put_frame_span(start, n_pages)
+                stretches.append((start, n_pages))
             start, n_pages = pte.pfn, pages
         if n_pages:
-            self._put_frame_span(start, n_pages)
+            stretches.append((start, n_pages))
+        self._put_frame_spans(stretches)
 
     # -- the fault path -----------------------------------------------------------
 
@@ -428,45 +430,46 @@ class Kernel:
                             pfns, pte_flags: PteFlags, on_span=None) -> None:
         """Install one claimed batch of order-0 leaves.
 
-        Splits the batch at physical discontinuities; each segment
-        becomes one ``install_run`` (one run insertion, one PT sweep,
-        one frame-column slice).  The contiguity bit follows the scalar
-        per-page rule: page ``i`` of a segment is created CONTIG when
-        the run it lands in has already reached the threshold at that
-        point (``pred_len + i + 1 >= thr``), and the final page picks
-        the bit up when its install merges past the threshold through an
-        existing successor run.
+        The batch's vpns are consecutive; its frames split into segments
+        at physical discontinuities.  The whole batch is one page-table
+        sweep and one frame-column update, with one run insertion per
+        segment.  The contiguity bit follows the scalar per-page rule:
+        page ``i`` of a segment is created CONTIG when the run it lands
+        in has already reached the threshold at that point (``pred_len
+        + i + 1 >= thr``), and the final page picks the bit up when its
+        install merges past the threshold through an existing successor
+        run.  Only the first segment can extend a run that precedes it
+        (each later one starts at a physical break, so the run before it
+        has another offset) and only the last can merge with a
+        successor (the batch's vpns were all unmapped).
         """
         space = process.space
-        runs = space.runs
         thr = self.contig_threshold
-        owner = process.pid
-        n = len(pfns)
-        breaks = np.flatnonzero(np.diff(pfns) != 1)
-        starts = [0, *(int(b) + 1 for b in breaks), n]
+        pfn_list = pfns.tolist()
+        n = len(pfn_list)
+        starts = [0, *(np.flatnonzero(np.diff(pfns) != 1) + 1).tolist(), n]
+        pred = space.runs.find(vpn - 1)
+        pred_len = (
+            pred.n_pages
+            if pred is not None
+            and pred.end_vpn == vpn
+            and pred.offset == vpn - pfn_list[0]
+            else 0
+        )
+        contig_from = max(0, thr - pred_len - 1)
+        contig: list[bool] = []
         for s, e in zip(starts, starts[1:]):
-            seg_vpn = vpn + s
-            seg_pfn = int(pfns[s])
-            seg_n = e - s
-            pred = runs.find(seg_vpn - 1)
-            pred_len = (
-                pred.n_pages
-                if pred is not None
-                and pred.end_vpn == seg_vpn
-                and pred.offset == seg_vpn - seg_pfn
-                else 0
-            )
-            contig_from = max(0, thr - pred_len - 1)
-            run, last = space.install_run(
-                vma, seg_vpn, seg_pfn, seg_n, pte_flags,
-                contig_from=min(contig_from, seg_n),
-            )
-            if contig_from >= seg_n and run.n_pages >= thr:
-                # Successor merge crossed the threshold on the last page.
-                last.flags |= PteFlags.CONTIG
-            self._account_frame_span(seg_pfn, seg_n, owner)
-            if on_span is not None:
-                on_span(seg_vpn, seg_pfn, seg_n)
+            plain = min(contig_from, e - s)
+            contig += [False] * plain + [True] * (e - s - plain)
+            contig_from = max(0, thr - 1)
+        run, last = space.install_batch(vma, vpn, pfn_list, starts, pte_flags, contig)
+        if not contig[-1] and run.n_pages >= thr:
+            # Successor merge crossed the threshold on the last page.
+            last.flags |= PteFlags.CONTIG
+        self._account_frames(pfns, process.pid)
+        if on_span is not None:
+            for s, e in zip(starts, starts[1:]):
+                on_span(vpn + s, pfn_list[s], e - s)
 
     def touch(self, process: Process, vpn: int, write: bool = True) -> FaultResult:
         """Access a page, faulting it in when absent (workload driver API)."""
@@ -762,8 +765,9 @@ class Kernel:
                           new_pfn: int) -> None:
         """Ingens promotion: replace resident 4K pages with one huge leaf."""
         space = process.space
-        for _vpn, pfn, n in space.uninstall_region(vma, region_vpn):
-            self._put_frame_span(pfn, n)
+        self._put_frame_spans(
+            (pfn, n) for _vpn, pfn, n in space.uninstall_region(vma, region_vpn)
+        )
         pte = space.install(
             vma, region_vpn, new_pfn, HUGE_ORDER, self._prot_flags(vma, write=True)
         )
@@ -795,6 +799,20 @@ class Kernel:
     def _account_frame(self, pfn: int, order: int, owner: int | None = None) -> None:
         self.mem.zone_of(pfn).frames.map_block(pfn, order_pages(order), owner)
 
+    def _account_frames(self, pfns, owner: int) -> None:
+        """:meth:`_account_frame` of the distinct order-0 frames ``pfns``
+        (an int64 array) with one column update per zone they touch."""
+        lo, hi = int(pfns.min()), int(pfns.max())
+        for zone in self.mem.zones:
+            if hi < zone.base_pfn or lo >= zone.end_pfn:
+                continue
+            inside = pfns
+            if lo < zone.base_pfn or hi >= zone.end_pfn:
+                inside = pfns[(pfns >= zone.base_pfn) & (pfns < zone.end_pfn)]
+            index = inside - zone.frames.base_pfn
+            zone.frames.mapcount[index] += 1
+            zone.frames.owner[index] = owner
+
     def _account_frame_span(
         self, pfn: int, n_pages: int, owner: int | None = None
     ) -> None:
@@ -818,42 +836,36 @@ class Kernel:
             self.mem.free_block(pfn, order)
 
     def _put_frame_span(self, pfn: int, n_pages: int) -> None:
-        """Batched :meth:`_put_frame` over ``n_pages`` base frames.
+        """Batched :meth:`_put_frame` over ``n_pages`` base frames."""
+        self._put_frame_spans(((pfn, n_pages),))
 
-        Drops one mapping per frame with a single array op and frees the
-        fully-unmapped stretch as maximal aligned buddy blocks.  The
-        buddy free state after coalescing is identical to ``n_pages``
-        per-page frees (the buddy representation of a free set is
-        unique), reached in O(blocks) instead of O(pages).  Frames still
-        mapped elsewhere (COW-shared) fall back to per-frame checks.
+    def _put_frame_spans(self, spans) -> None:
+        """Batched :meth:`_put_frame` over every frame of the ``(pfn,
+        n_pages)`` stretches, in order.
+
+        Drops one mapping per frame with one array op per stretch and
+        frees each fully-unmapped stretch with one
+        :meth:`BuddyAllocator.free_span`.  The buddy free state after
+        coalescing is identical to per-page frees (the buddy
+        representation of a free set is unique), reached in O(blocks)
+        instead of O(pages).  Frames still mapped elsewhere (COW-shared)
+        fall back to per-frame checks.
         """
-        while n_pages > 0:
-            zone = self.mem.zone_of(pfn)
-            take = min(n_pages, zone.end_pfn - pfn)
-            i = zone.frames.index(pfn)
-            counts = zone.frames.mapcount[i:i + take]
-            counts -= 1
-            if counts.max() <= 0:
-                self._free_aligned_span(zone, pfn, take)
-            else:
-                for j in range(take):
-                    if counts[j] <= 0:
-                        zone.free_block(pfn + j, 0)
-            pfn += take
-            n_pages -= take
-
-    def _free_aligned_span(self, zone, pfn: int, n_pages: int) -> None:
-        """Free ``[pfn, pfn + n_pages)`` as maximal aligned buddy blocks."""
-        max_order = zone.max_order
-        while n_pages > 0:
-            align = (
-                max_order if pfn == 0
-                else (pfn & -pfn).bit_length() - 1
-            )
-            order = min(align, n_pages.bit_length() - 1, max_order)
-            zone.free_block(pfn, order)
-            pfn += 1 << order
-            n_pages -= 1 << order
+        for pfn, n_pages in spans:
+            while n_pages > 0:
+                zone = self.mem.zone_of(pfn)
+                take = min(n_pages, zone.end_pfn - pfn)
+                i = pfn - zone.base_pfn
+                counts = zone.frames.mapcount[i:i + take]
+                counts -= 1
+                if counts.max() <= 0:
+                    zone.free_span(pfn, take)
+                else:
+                    for j in range(take):
+                        if counts[j] <= 0:
+                            zone.free_block(pfn + j, 0)
+                pfn += take
+                n_pages -= take
 
     def _pfn_valid(self, pfn: int) -> bool:
         try:

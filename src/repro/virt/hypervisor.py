@@ -19,12 +19,10 @@ VM's lifetime while guest mappings come and go with guest processes.
 
 from __future__ import annotations
 
-import random
-
 from repro.errors import AddressSpaceError, VirtualizationError
 from repro.mm.physmem import PhysicalMemory
 from repro.sim.kernel import FaultResult, Kernel
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, boot_memory
 from repro.units import order_pages
 from repro.vm.flags import DEFAULT_ANON
 from repro.vm.mapping_runs import frame_stretches
@@ -97,20 +95,20 @@ class VirtualMachine:
         )
 
         # Guest side: an independent kernel over the gPA space.
-        self.guest_mem = PhysicalMemory(
-            [guest_pages],
-            max_order=guest_max_order,
-            sorted_max_order=guest_sorted_max_order,
-        )
-        rng = random.Random(cfg.seed + 1)
         if aged:
             # The guest kernel pins its own boot-time allocations
             # (kernel text, page tables, daemons), breaking guest
             # memory into several free clusters like the host's.
-            if cfg.reserve_fraction > 0:
-                self.guest_mem.boot_reserve(cfg.reserve_fraction, rng)
-            if cfg.churn_ops:
-                self.guest_mem.churn(cfg.churn_ops, rng)
+            _rng, self.guest_mem = boot_memory(
+                (guest_pages,), guest_max_order, guest_sorted_max_order,
+                cfg.reserve_fraction, cfg.churn_ops, cfg.seed + 1,
+            )
+        else:
+            self.guest_mem = PhysicalMemory(
+                [guest_pages],
+                max_order=guest_max_order,
+                sorted_max_order=guest_sorted_max_order,
+            )
         self.guest_kernel = Kernel(
             self.guest_mem,
             guest_policy,

@@ -134,20 +134,24 @@ class AddressSpace:
         vma.mapped_pages += 1 << order
         return pte
 
-    def install_run(self, vma: Vma, vpn: int, pfn: int, n_pages: int,
-                    flags: PteFlags, contig_from: int | None = None):
-        """Map ``n_pages`` consecutive base leaves in one batch.
+    def install_batch(self, vma: Vma, vpn: int, pfns: list[int],
+                      starts: list[int], flags: PteFlags, contig: list[bool]):
+        """Map the base leaves ``vpn + i -> pfns[i]`` in one batch.
 
         The span fault path's installer: one :meth:`PageTable.map_span`
-        descent per PT node, one run insertion and one accounting update
-        for the whole physical segment.  Pages at index >= ``contig_from``
-        carry the CONTIG bit from creation.
-        Returns ``(merged_run, last_pte)`` so the caller can apply the
-        successor-merge contiguity fixup.
+        sweep for the whole batch, then one run insertion per physical
+        segment ``pfns[starts[k]:starts[k + 1]]`` (``starts`` runs from 0
+        to ``len(pfns)``; frames are consecutive inside a segment) and
+        one accounting update.  Page ``i`` carries the CONTIG bit from
+        creation when ``contig[i]`` holds.  Returns ``(last_run,
+        last_pte)``, the run now covering the last page and its leaf, so
+        the caller can apply the successor-merge contiguity fixup.
         """
-        last = self.page_table.map_span(vpn, pfn, n_pages, flags, contig_from)
-        run = self.runs.add(vpn, pfn, n_pages)
-        vma.mapped_pages += n_pages
+        last = self.page_table.map_span(vpn, pfns, flags, contig)
+        add = self.runs.add
+        for s, e in zip(starts, starts[1:]):
+            run = add(vpn + s, pfns[s], e - s)
+        vma.mapped_pages += len(pfns)
         return run, last
 
     def uninstall(self, vma: Vma, vpn: int) -> Pte:
@@ -171,7 +175,7 @@ class AddressSpace:
         """
         removed = self.page_table.unmap_region_leaves(region_vpn)
         chunks = self.runs.remove_span(region_vpn, region_vpn + HUGE_PAGES)
-        vma.mapped_pages -= len(removed)
+        vma.mapped_pages -= removed
         return chunks
 
     # -- queries ---------------------------------------------------------------

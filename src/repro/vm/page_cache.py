@@ -124,9 +124,10 @@ class PageCache:
         without reclaiming.  When the whole range's claim fits in it,
         the claims of back-to-back windows merge into one request:
         windows do not overlap and nothing is evicted, so each window
-        claims what it would have claimed alone.  Otherwise every window
-        claims before the next one looks at the file, because a claim
-        may reclaim cached pages, this file's included.
+        claims what it would have claimed alone, and the per-window
+        claims computed up front stand.  Otherwise every window claims
+        before the next one looks at the file, because a claim may
+        reclaim cached pages, this file's included.
 
         ``last_fill`` ends as the last window's fill (empty on a hit).
         """
@@ -137,11 +138,15 @@ class PageCache:
             )
         window = self.readahead_pages
         starts = range(index, index + n_pages, window)
-        merge = sum(self._window_claim(file, s) for s in starts) <= free_pages
+        claims = [self._window_claim(file, s) for s in starts]
+        merge = sum(claims) <= free_pages
         fill: list[tuple[int, int]] = []
         seg_start = seg_n = 0
-        for start in starts:
-            n = self._window_claim(file, start)
+        for start, n in zip(starts, claims):
+            if not merge:
+                # An earlier window's claim may have reclaimed pages of
+                # this file: look again.
+                n = self._window_claim(file, start)
             if n:
                 self.fault_count += 1
                 self.readahead_count += n - 1

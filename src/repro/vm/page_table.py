@@ -163,41 +163,36 @@ class PageTable:
         self._leaf_count += 1
         return pte
 
-    def map_span(self, vpn: int, pfn: int, n_pages: int, flags: PteFlags,
-                 contig_from: int | None = None) -> Pte:
-        """Install ``n_pages`` consecutive 4 KiB leaves ``vpn+i -> pfn+i``.
+    def map_span(self, vpn: int, pfns: list[int], flags: PteFlags,
+                 contig: list[bool]) -> Pte:
+        """Install the 4 KiB leaves ``vpn + i -> pfns[i]`` (``pfns`` non-empty).
 
-        The bulk analogue of ``n_pages`` order-0 :meth:`map` calls: one
-        radix descent per 512-entry PT node instead of one per page, and
-        no per-page collision checks — callers guarantee the span is
+        The bulk analogue of ``len(pfns)`` order-0 :meth:`map` calls:
+        one radix descent per 512-entry PT node instead of one per page,
+        and no per-page collision checks — callers guarantee the span is
         unmapped (the fault path derives spans from the mapping runs,
-        which mirror the table exactly).  Pages at index >=
-        ``contig_from`` get :attr:`PteFlags.CONTIG` at creation (the
-        batched contiguity-bit rule).  Returns the last installed Pte.
+        which mirror the table exactly).  The frames need not be
+        consecutive.  Page ``i`` gets :attr:`PteFlags.CONTIG` at creation
+        when ``contig[i]`` holds (the batched contiguity-bit rule).
+        Returns the last installed Pte.
         """
         base_flags = flags | PteFlags.PRESENT
-        contig_flags = base_flags | PteFlags.CONTIG
-        if contig_from is None:
-            contig_from = n_pages
+        choice = (base_flags, base_flags | PteFlags.CONTIG)
+        leaf_flags = list(map(choice.__getitem__, contig))
+        n_pages = len(pfns)
         done = 0
-        pte: Pte | None = None
         while done < n_pages:
             v = vpn + done
-            node = self._walk_to_level(v, 1, create=True)
-            entries = node.entries
+            entries = self._walk_to_level(v, 1, create=True).entries
             idx = v & (LEVEL_FANOUT - 1)
-            chunk = min(n_pages - done, LEVEL_FANOUT - idx)
-            p = pfn + done
-            for i in range(chunk):
-                pte = Pte(
-                    p + i,
-                    contig_flags if done + i >= contig_from else base_flags,
-                )
-                entries[idx + i] = pte
-            done += chunk
+            stop = done + min(n_pages - done, LEVEL_FANOUT - idx)
+            entries.update(zip(
+                range(idx, idx + stop - done),
+                map(Pte, pfns[done:stop], leaf_flags[done:stop]),
+            ))
+            done = stop
         self._leaf_count += n_pages
-        assert pte is not None
-        return pte
+        return entries[(vpn + n_pages - 1) & (LEVEL_FANOUT - 1)]
 
     def unmap(self, vpn: int) -> Pte:
         """Remove the leaf covering ``vpn`` and return it.
@@ -212,14 +207,14 @@ class PageTable:
         self._leaf_count -= 1
         return pte
 
-    def unmap_region_leaves(self, region_vpn: int) -> list[tuple[int, Pte]]:
+    def unmap_region_leaves(self, region_vpn: int) -> int:
         """Detach every 4 KiB leaf of one 2 MiB-aligned region at once.
 
         The region maps to exactly one PT node, so the whole batch is a
-        single descent plus one dict sweep — the promotion hot path —
-        instead of one full walk per page.  Returns ``(vpn, pte)`` pairs
-        in VPN order; raises :class:`MappingError` when the PMD slot
-        holds a huge leaf (callers promote only non-huge regions).
+        single descent plus one dict clear — the promotion hot path —
+        instead of one full walk per page.  Returns the number of leaves
+        removed; raises :class:`MappingError` when the PMD slot holds a
+        huge leaf (callers promote only non-huge regions).
         """
         if not is_aligned(region_vpn, HUGE_PAGES):
             raise MappingError(f"region vpn {region_vpn:#x} not 2M-aligned")
@@ -227,20 +222,18 @@ class PageTable:
         for level in range(self.levels, 2, -1):
             entry = node.entries.get(_index(region_vpn, level))
             if entry is None:
-                return []
+                return 0
             node = entry
         pt = node.entries.get(_index(region_vpn, 2))
         if pt is None:
-            return []
+            return 0
         if isinstance(pt, Pte):
             raise MappingError(
                 f"region {region_vpn:#x} is mapped by a huge leaf"
             )
-        removed = [
-            (region_vpn + idx, pte) for idx, pte in sorted(pt.entries.items())
-        ]
+        removed = len(pt.entries)
         pt.entries.clear()
-        self._leaf_count -= len(removed)
+        self._leaf_count -= removed
         return removed
 
     # -- lookup ------------------------------------------------------------

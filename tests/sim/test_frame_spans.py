@@ -1,7 +1,7 @@
 """Edge cases for the kernel's batched frame-span accounting helpers.
 
 The kernel charges and releases physical frames in spans
-(`_account_frame_span` / `_put_frame_span` / `_free_aligned_span`).
+(`_account_frame_span` / `_put_frame_span`, and the buddy's `free_span`).
 These must tolerate degenerate inputs — zero-page spans are produced
 naturally when a batched fault claims nothing or an uninstall yields an
 empty stretch — and must stay bit-identical to the per-frame reference.
@@ -37,7 +37,8 @@ class TestZeroPageSpans:
         machine, kernel = fresh_kernel()
         zone = machine.mem.zone_of(0)
         free_before = machine.mem.free_pages
-        kernel._free_aligned_span(zone, 0, 0)
+        zone.free_span(0, 0)
+        zone.free_span(zone.end_pfn, 0)
         assert machine.mem.free_pages == free_before
 
     def test_put_span_at_node_boundary_pfn(self):
